@@ -10,8 +10,8 @@ the master.
 from . import distla, gp  # noqa: F401  (register worker kernels and builtins)
 from .errors import *  # noqa: F401,F403
 from .grid import (BlockLayout, ProcessGrid, block_owner, default_h,
-                   grid_from_process_count, local_index_sets,
-                   rect_block_owner, vector_block_owner)
+                   grid_from_process_count, rect_block_owner,
+                   vector_block_owner)
 from .transport import spawn
 
 __version__ = "0.1.0"

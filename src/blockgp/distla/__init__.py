@@ -6,7 +6,7 @@ from ..errors import DimensionMismatch
 from ..grid import BlockLayout, default_h
 from . import kernels  # noqa: F401  (registers the worker kernels)
 from .objects import (DistRectangular, DistTriangular, DistVector, LocalPiece,
-                      assemble)
+                      assemble, split_array)
 
 
 def make_layout(n, grid, h=None):
@@ -15,6 +15,14 @@ def make_layout(n, grid, h=None):
     if h is None:
         h = default_h(n, grid.D)
     return BlockLayout(n, h, grid.D)
+
+
+def _handle(kind, name, row_layout, col_layout=None):
+    if kind == "triangular":
+        return DistTriangular(name, row_layout)
+    if kind == "rectangular":
+        return DistRectangular(name, row_layout, col_layout)
+    return DistVector(name, row_layout)
 
 
 def _check_square(L):
@@ -28,11 +36,7 @@ def construct_distributed(cluster, name, kind, generator, params,
     cluster.run("distla.construct", name=name, kind=kind, generator=generator,
                 params=np.asarray(params, dtype=float), inputs_name=inputs_name,
                 row_layout=row_layout, col_layout=col_layout)
-    if kind == "triangular":
-        return DistTriangular(name, row_layout)
-    if kind == "rectangular":
-        return DistRectangular(name, row_layout, col_layout)
-    return DistVector(name, row_layout)
+    return _handle(kind, name, row_layout, col_layout)
 
 
 def construct_rnorm_distributed(cluster, name, kind, row_layout,
@@ -40,23 +44,26 @@ def construct_rnorm_distributed(cluster, name, kind, row_layout,
     """Distributed i.i.d. N(0,1) object drawn from per-rank streams."""
     cluster.run("distla.rnorm", name=name, kind=kind, row_layout=row_layout,
                 col_layout=col_layout, fill=fill)
-    if kind == "rectangular":
-        return DistRectangular(name, row_layout, col_layout)
-    return DistVector(name, row_layout)
+    return _handle(kind, name, row_layout, col_layout)
 
 
 def distribute(cluster, name, array, kind, row_layout, col_layout=None):
-    """Split a master-side dense object across the workers."""
+    """Split a master-side dense object across the workers.
+
+    The master pads once and sends each rank only the blocks it owns, to all
+    ranks in one dispatch.
+    """
     array = np.asarray(array, dtype=float)
-    if kind == "vector" and array.shape != (row_layout.n,):
-        raise DimensionMismatch(f"vector length {array.shape} != {row_layout.n}")
-    cluster.run("distla.split", name=name, kind=kind, array=array,
-                row_layout=row_layout, col_layout=col_layout)
-    if kind == "triangular":
-        return DistTriangular(name, row_layout)
-    if kind == "rectangular":
-        return DistRectangular(name, row_layout, col_layout)
-    return DistVector(name, row_layout)
+    cl = None if kind == "vector" else (col_layout or row_layout)
+    shape = (row_layout.n,) if cl is None else (row_layout.n, cl.n)
+    if array.shape != shape:
+        raise DimensionMismatch(f"{kind} shape {array.shape} != {shape}")
+    blocks = split_array(kind, array, cluster.grid, row_layout, cl)
+    cluster.scatter(name, {rank: LocalPiece(kind, row_layout, cl,
+                                            blocks[coord])
+                           for rank, coord in enumerate(cluster.grid.coords(),
+                                                        1)})
+    return _handle(kind, name, row_layout, cl)
 
 
 def distributed_cholesky(cluster, tri, out_name):
@@ -69,37 +76,33 @@ def distributed_cholesky(cluster, tri, out_name):
     return DistTriangular(out_name, tri.layout), stats
 
 
+def _applied(L, rhs, out_name):
+    """Handle for L (or its inverse) applied to a conforming vector or
+    rectangular right-hand side."""
+    _check_square(L)
+    rows = rhs.layout if isinstance(rhs, DistVector) else rhs.row_layout
+    if rows != L.layout:
+        raise DimensionMismatch("right-hand side rows do not conform to L")
+    if isinstance(rhs, DistVector):
+        return DistVector(out_name, rhs.layout)
+    return DistRectangular(out_name, rhs.row_layout, rhs.col_layout)
+
+
 def triangular_solve(cluster, L, rhs, out_name, side="forward"):
     """x with L x = b (side="forward") or L^T x = b (side="back")."""
-    _check_square(L)
     forward = {"forward": True, "back": False}[side]
-    if isinstance(rhs, DistVector):
-        if rhs.layout.B != L.layout.B or rhs.layout.n != L.layout.n:
-            raise DimensionMismatch("rhs layout does not conform to L")
-        cluster.run("distla.solve_vector", l_name=L.name, rhs_name=rhs.name,
-                    out_name=out_name, forward=forward)
-        return DistVector(out_name, rhs.layout)
-    if rhs.row_layout != L.layout:
-        raise DimensionMismatch("rhs row layout does not conform to L")
-    cluster.run("distla.solve_rect", l_name=L.name, rhs_name=rhs.name,
+    out = _applied(L, rhs, out_name)
+    cluster.run("distla.solve", l_name=L.name, rhs_name=rhs.name,
                 out_name=out_name, forward=forward)
-    return DistRectangular(out_name, rhs.row_layout, rhs.col_layout)
+    return out
 
 
 def mult_chol(cluster, L, x, out_name):
     """L @ x for a distributed vector or rectangular x."""
-    _check_square(L)
-    if isinstance(x, DistVector):
-        if x.layout.B != L.layout.B:
-            raise DimensionMismatch("x layout does not conform to L")
-        cluster.run("distla.mult_vector", l_name=L.name, x_name=x.name,
-                    out_name=out_name)
-        return DistVector(out_name, x.layout)
-    if x.row_layout != L.layout:
-        raise DimensionMismatch("x row layout does not conform to L")
-    cluster.run("distla.mult_rect", l_name=L.name, x_name=x.name,
+    out = _applied(L, x, out_name)
+    cluster.run("distla.mult", l_name=L.name, x_name=x.name,
                 out_name=out_name)
-    return DistRectangular(out_name, x.row_layout, x.col_layout)
+    return out
 
 
 def crossprod_mat_vec(cluster, V, u, out_name):
@@ -119,7 +122,8 @@ def crossprod_self(cluster, V, out_name):
 
 def crossprod_self_diag(cluster, V, out_name):
     """diag(V^T V) as a distributed vector."""
-    cluster.run("distla.xprod_self_diag", v_name=V.name, out_name=out_name)
+    cluster.run("distla.xprod_mat_vec", v_name=V.name, u_name=None,
+                out_name=out_name)
     return DistVector(out_name, V.col_layout)
 
 

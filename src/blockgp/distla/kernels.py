@@ -6,6 +6,13 @@ are deterministic for a fixed (P, h, seed).  Sends are non-blocking and each
 consumer receives its own copy of a block, which keeps the number of
 simultaneously-resident blocks on a worker bounded during the Cholesky sweep
 (owned blocks plus at most a handful of in-flight temporaries).
+
+Block ownership comes only from `grid.py`.  One placement rule serves every
+kernel that combines a matrix block with an operand block: vectors live on
+the diagonal workers; a vector's partial products run where the matrix block
+lives, so the vector block travels ("x" phase); a rectangular operand's
+partial products run where its own block lives, so the matrix block travels
+("col" phase).  Partials travel to the result block's owner ("ps" phase).
 """
 
 import numpy as np
@@ -14,19 +21,8 @@ import scipy.linalg as la
 from .. import registry
 from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
-from .objects import LocalPiece, owned_blocks, pad_block, split_array
-
-
-def _res(I, D):
-    return (I - 1) % D + 1
-
-
-def _fold(a, b):
-    return (a, b) if a >= b else (b, a)
-
-
-def _owner(I, J, D):
-    return _fold(_res(I, D), _res(J, D))
+from ..grid import block_owner, rect_block_owner, vector_block_owner
+from .objects import LocalPiece, owned_blocks, pad_block
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +117,20 @@ def cholesky(ctx, name, out_name):
     if out_name != name:
         ctx.store[out_name] = piece
         del ctx.store[name]
-    lay = piece.row_layout
-    D, B, bs = ctx.grid.D, lay.B, lay.block_size
-    me = ctx.coord
-    blocks = piece.blocks
-    owned = len(blocks)
-    peak = owned
-
     try:
-        return _cholesky_sweep(ctx, out_name, blocks, D, B, bs, me,
-                               owned, peak)
+        return _cholesky_sweep(ctx, out_name, piece.blocks,
+                               piece.row_layout)
     except BaseException:
         ctx.store.pop(out_name, None)  # no partial factor is retained
         raise
 
 
-def _cholesky_sweep(ctx, out_name, blocks, D, B, bs, me, owned, peak):
+def _cholesky_sweep(ctx, out_name, blocks, lay):
+    grid, me = ctx.grid, ctx.coord
+    B, bs = lay.B, lay.block_size
+    owned = peak = len(blocks)
     for J in range(1, B + 1):
-        rj = _res(J, D)
-        downer = (rj, rj)
+        downer = block_owner(J, J, grid)
         # factor the diagonal block
         if me == downer:
             try:
@@ -148,11 +139,13 @@ def _cholesky_sweep(ctx, out_name, blocks, D, B, bs, me, owned, peak):
                 raise NotPositiveDefinite(J) from None
             blocks[(J, J)] = L
             ctx.log_event("factor", J, J)
-            for dest in sorted({_owner(I, J, D) for I in range(J + 1, B + 1)}):
+            for dest in sorted({block_owner(I, J, grid)
+                                for I in range(J + 1, B + 1)}):
                 if dest != me:
                     ctx.send(dest, (out_name, "diag", J, J), L)
         # triangular solves down column J
-        my_rows = [I for I in range(J + 1, B + 1) if _owner(I, J, D) == me]
+        my_rows = [I for I in range(J + 1, B + 1)
+                   if block_owner(I, J, grid) == me]
         if my_rows:
             if me == downer:
                 Ljj = blocks[(J, J)]
@@ -166,10 +159,10 @@ def _cholesky_sweep(ctx, out_name, blocks, D, B, bs, me, owned, peak):
         # trailing updates, one task at a time
         for C in range(J + 1, B + 1):
             for R in range(C, B + 1):
-                towner = _owner(R, C, D)
-                srcs = [(R, _owner(R, J, D))]
+                towner = block_owner(R, C, grid)
+                srcs = [(R, block_owner(R, J, grid))]
                 if R != C:
-                    srcs.append((C, _owner(C, J, D)))
+                    srcs.append((C, block_owner(C, J, grid)))
                 for X, xowner in srcs:
                     if xowner == me and towner != me:
                         ctx.send(towner, (out_name, "col", X, J), blocks[(X, J)])
@@ -195,190 +188,100 @@ def _cholesky_sweep(ctx, out_name, blocks, D, B, bs, me, owned, peak):
 
 
 # ---------------------------------------------------------------------------
-# triangular solves
+# triangular solves and multiplications: one schedule
 
-@registry.register("distla.solve_vector")
-def solve_vector(ctx, l_name, rhs_name, out_name, forward=True):
-    """Solve L x = b (forward) or L^T x = b (backward) for a distributed vector.
+@registry.register("distla.solve")
+def solve(ctx, l_name, rhs_name, out_name, forward=True):
+    """Solve L X = B (forward) or L^T X = B (backward), vector or rectangular B."""
+    _apply_chol(ctx, l_name, rhs_name, out_name,
+                "forward" if forward else "back")
 
-    Partial products run where the L block lives; the diagonal owner of each
-    result block accumulates partials in a fixed order and solves.
+
+@registry.register("distla.mult")
+def mult(ctx, l_name, x_name, out_name):
+    """Y = L X for a distributed vector or rectangular X."""
+    _apply_chol(ctx, l_name, x_name, out_name, "mult")
+
+
+def _apply_chol(ctx, l_name, rhs_name, out_name, op):
+    """Apply L to a right-hand side: op "forward" (L^-1), "back" (L^-T) or
+    "mult" (L).
+
+    A vector is one column of blocks on the diagonal workers.  Result block
+    (J, c) takes one partial per off-diagonal (solves) or every (mult) L
+    block of its row ("back": its column), accumulated in ascending K at the
+    result's owner; a solve's owner then receives L(J, J) per use ("diag")
+    and solves.
     """
-    Lp = ctx.fetch(l_name)
-    bp = ctx.fetch(rhs_name)
+    Lp, Rp = ctx.fetch(l_name), ctx.fetch(rhs_name)
+    grid, me = ctx.grid, ctx.coord
     lay = Lp.row_layout
-    D, B, bs = ctx.grid.D, lay.B, lay.block_size
-    me = ctx.coord
-    x = {}
-    local_partials = {}
-    order = range(1, B + 1) if forward else range(B, 0, -1)
-    for J in order:
-        rj = _res(J, D)
-        downer = (rj, rj)
-        Ks = list(range(1, J)) if forward else list(range(J + 1, B + 1))
-        for K in Ks:
-            Lkey = (J, K) if forward else (K, J)
-            lowner = _owner(*Lkey, D)
-            kowner = (_res(K, D), _res(K, D))
-            # the x_K owner ships a copy to the L-block owner, per use
-            if kowner == me and lowner != me:
-                ctx.send(lowner, (out_name, "x", K, J), x[K])
-            if lowner != me:
-                continue
-            xk = x[K] if kowner == me else ctx.recv(kowner, (out_name, "x", K, J),
-                                                    (bs,))
-            Lb = Lp.blocks[Lkey]
-            partial = Lb @ xk if forward else Lb.T @ xk
-            if downer == me:
-                local_partials[(J, K)] = partial
-            else:
-                ctx.send(downer, (out_name, "ps", J, K), partial)
-        if downer == me:
-            acc = bp.blocks[J].copy()
-            for K in Ks:
-                Lkey = (J, K) if forward else (K, J)
-                lowner = _owner(*Lkey, D)
-                p = (local_partials.pop((J, K)) if lowner == me
-                     else ctx.recv(lowner, (out_name, "ps", J, K), (bs,)))
-                acc -= p
-            Ljj = Lp.blocks[(J, J)]
-            if np.any(np.diag(Ljj) == 0.0):
-                raise SingularDiagonal(f"zero diagonal in block {J}")
-            x[J] = la.solve_triangular(Ljj, acc, lower=True,
-                                       trans=0 if forward else 1,
-                                       check_finite=False)
-    ctx.store[out_name] = LocalPiece("vector", lay, None, x)
+    B, bs = lay.B, lay.block_size
+    vector = Rp.kind == "vector"
+    if vector:
+        Bc, shape, phase = 1, (bs,), "x"
 
+        def owner(I, c):
+            return vector_block_owner(I, grid)
 
-@registry.register("distla.solve_rect")
-def solve_rect(ctx, l_name, rhs_name, out_name, forward=True):
-    """Triangular solve with a rectangular right-hand side, all columns.
+        def key(I, c):
+            return I
+    else:
+        Bc, shape, phase = Rp.col_layout.B, (bs, Rp.col_layout.block_size), "col"
 
-    Partials run where the solved RHS block lives, so only L blocks travel.
-    """
-    Lp = ctx.fetch(l_name)
-    Bp = ctx.fetch(rhs_name)
-    rlay, clay = Bp.row_layout, Bp.col_layout
-    D, Br, Bc = ctx.grid.D, rlay.B, clay.B
-    bs_r, bs_c = rlay.block_size, clay.block_size
-    me = ctx.coord
-    X = {}
-    order = range(1, Br + 1) if forward else range(Br, 0, -1)
-    for J in order:
-        rj = _res(J, D)
-        downer = (rj, rj)
-        Ks = list(range(1, J)) if forward else list(range(J + 1, Br + 1))
+        def owner(I, c):
+            return rect_block_owner(I, c, grid)
+
+        def key(I, c):
+            return (I, c)
+    solving = op != "mult"
+    combine = np.subtract if solving else np.add
+    out = {}
+    x = out if solving else Rp.blocks  # the blocks that partials multiply
+    for J in (range(B, 0, -1) if op == "back" else range(1, B + 1)):
+        Ks = {"forward": range(1, J), "back": range(J + 1, B + 1),
+              "mult": range(1, J + 1)}[op]
+        downer = block_owner(J, J, grid)
         for c in range(1, Bc + 1):
-            rc = _res(c, D)
-            towner = _fold(rj, rc)
-            # diagonal factor ships per use
-            if downer == me and towner != me:
+            towner = owner(J, c)
+            ps = (out_name, "ps", J, c)
+            if solving and downer == me and towner != me:
                 ctx.send(towner, (out_name, "diag", J, J), Lp.blocks[(J, J)])
-            acc = None
             if towner == me:
-                acc = Bp.blocks[(J, c)].copy()
+                acc = (Rp.blocks[key(J, c)].copy() if solving
+                       else np.zeros(shape))
             for K in Ks:
-                Lkey = (J, K) if forward else (K, J)
-                lowner = _owner(*Lkey, D)
-                sowner = _fold(_res(K, D), rc)  # holds the solved X[(K, c)]
-                if lowner == me and sowner != me:
-                    ctx.send(sowner, (out_name, "col", Lkey[0], Lkey[1]),
-                             Lp.blocks[Lkey])
-                if sowner == me:
+                Lkey = (K, J) if op == "back" else (J, K)
+                lowner, xowner = block_owner(*Lkey, grid), owner(K, c)
+                where, mover = (lowner, xowner) if vector else (xowner, lowner)
+                tag = (out_name, phase, *Lkey)
+                if mover == me and where != me:
+                    ctx.send(where, tag,
+                             x[key(K, c)] if vector else Lp.blocks[Lkey])
+                if where == me:
                     Lb = (Lp.blocks[Lkey] if lowner == me
-                          else ctx.recv(lowner, (out_name, "col", *Lkey),
-                                        (bs_r, bs_r)))
-                    partial = Lb @ X[(K, c)] if forward else Lb.T @ X[(K, c)]
+                          else ctx.recv(lowner, tag, (bs, bs)))
+                    xk = (x[key(K, c)] if xowner == me
+                          else ctx.recv(xowner, tag, shape))
+                    partial = Lb.T @ xk if op == "back" else Lb @ xk
                     if towner == me:
-                        acc -= partial
+                        combine(acc, partial, out=acc)
                     else:
-                        ctx.send(towner, (out_name, "ps", J, c), partial)
+                        ctx.send(towner, ps, partial)
                 elif towner == me:
-                    acc -= ctx.recv(sowner, (out_name, "ps", J, c), (bs_r, bs_c))
-            if towner == me:
+                    combine(acc, ctx.recv(where, ps, shape), out=acc)
+            if towner != me:
+                continue
+            if solving:
                 Ljj = (Lp.blocks[(J, J)] if downer == me
-                       else ctx.recv(downer, (out_name, "diag", J, J),
-                                     (bs_r, bs_r)))
+                       else ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
                 if np.any(np.diag(Ljj) == 0.0):
                     raise SingularDiagonal(f"zero diagonal in block {J}")
-                X[(J, c)] = la.solve_triangular(Ljj, acc, lower=True,
-                                                trans=0 if forward else 1,
-                                                check_finite=False)
-    ctx.store[out_name] = LocalPiece("rectangular", rlay, clay, X)
-
-
-# ---------------------------------------------------------------------------
-# multiplications
-
-@registry.register("distla.mult_vector")
-def mult_vector(ctx, l_name, x_name, out_name):
-    """y = L x for a distributed vector x."""
-    Lp = ctx.fetch(l_name)
-    xp = ctx.fetch(x_name)
-    lay = Lp.row_layout
-    D, B, bs = ctx.grid.D, lay.B, lay.block_size
-    me = ctx.coord
-    y = {}
-    for I in range(1, B + 1):
-        ri = _res(I, D)
-        towner = (ri, ri)
-        acc = np.zeros(bs) if towner == me else None
-        for J in range(1, I + 1):
-            lowner = _owner(I, J, D)
-            jowner = (_res(J, D), _res(J, D))
-            if jowner == me and lowner != me:
-                ctx.send(lowner, (out_name, "x", J, I), xp.blocks[J])
-            if lowner == me:
-                xj = (xp.blocks[J] if jowner == me
-                      else ctx.recv(jowner, (out_name, "x", J, I), (bs,)))
-                partial = Lp.blocks[(I, J)] @ xj
-                if towner == me:
-                    acc += partial
-                else:
-                    ctx.send(towner, (out_name, "ps", I, J), partial)
-            elif towner == me:
-                acc += ctx.recv(lowner, (out_name, "ps", I, J), (bs,))
-        if towner == me:
-            y[I] = acc
-    ctx.store[out_name] = LocalPiece("vector", lay, None, y)
-
-
-@registry.register("distla.mult_rect")
-def mult_rect(ctx, l_name, x_name, out_name):
-    """Y = L X for a distributed rectangular X (partials where X lives)."""
-    Lp = ctx.fetch(l_name)
-    Xp = ctx.fetch(x_name)
-    rlay, clay = Xp.row_layout, Xp.col_layout
-    D, Br, Bc = ctx.grid.D, rlay.B, clay.B
-    bs_r, bs_c = rlay.block_size, clay.block_size
-    me = ctx.coord
-    Y = {}
-    for I in range(1, Br + 1):
-        ri = _res(I, D)
-        for c in range(1, Bc + 1):
-            rc = _res(c, D)
-            towner = _fold(ri, rc)
-            acc = np.zeros((bs_r, bs_c)) if towner == me else None
-            for J in range(1, I + 1):
-                lowner = _owner(I, J, D)
-                sowner = _fold(_res(J, D), rc)
-                if lowner == me and sowner != me:
-                    ctx.send(sowner, (out_name, "col", I, J), Lp.blocks[(I, J)])
-                if sowner == me:
-                    Lb = (Lp.blocks[(I, J)] if lowner == me
-                          else ctx.recv(lowner, (out_name, "col", I, J),
-                                        (bs_r, bs_r)))
-                    partial = Lb @ Xp.blocks[(J, c)]
-                    if towner == me:
-                        acc += partial
-                    else:
-                        ctx.send(towner, (out_name, "ps", I, c), partial)
-                elif towner == me:
-                    acc += ctx.recv(sowner, (out_name, "ps", I, c),
-                                    (bs_r, bs_c))
-            if towner == me:
-                Y[(I, c)] = acc
-    ctx.store[out_name] = LocalPiece("rectangular", rlay, clay, Y)
+                acc = la.solve_triangular(Ljj, acc, lower=True,
+                                          trans=0 if op == "forward" else 1,
+                                          check_finite=False)
+            out[key(J, c)] = acc
+    ctx.store[out_name] = LocalPiece(Rp.kind, lay, Rp.col_layout, out)
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +289,39 @@ def mult_rect(ctx, l_name, x_name, out_name):
 
 @registry.register("distla.xprod_mat_vec")
 def xprod_mat_vec(ctx, v_name, u_name, out_name):
-    """w = V^T u; partials run where the V block lives."""
+    """w = V^T u, or diag(V^T V) when u_name is None, on V's column layout.
+
+    Partials run where the V block lives; u blocks travel there per use.
+    """
     Vp = ctx.fetch(v_name)
-    up = ctx.fetch(u_name)
+    up = ctx.fetch(u_name) if u_name is not None else None
+    grid, me = ctx.grid, ctx.coord
     rlay, clay = Vp.row_layout, Vp.col_layout
-    D, Br, Bc = ctx.grid.D, rlay.B, clay.B
-    bs_r, bs_c = rlay.block_size, clay.block_size
-    me = ctx.coord
     w = {}
-    for A in range(1, Bc + 1):
-        ra = _res(A, D)
-        towner = (ra, ra)
-        acc = np.zeros(bs_c) if towner == me else None
-        for I in range(1, Br + 1):
-            vowner = _fold(_res(I, D), ra)
-            iowner = (_res(I, D), _res(I, D))
-            if iowner == me and vowner != me:
+    for A in range(1, clay.B + 1):
+        towner = vector_block_owner(A, grid)
+        acc = np.zeros(clay.block_size) if towner == me else None
+        for I in range(1, rlay.B + 1):
+            vowner = rect_block_owner(I, A, grid)
+            iowner = vector_block_owner(I, grid)
+            if up is not None and iowner == me and vowner != me:
                 ctx.send(vowner, (out_name, "x", I, A), up.blocks[I])
             if vowner == me:
-                ui = (up.blocks[I] if iowner == me
-                      else ctx.recv(iowner, (out_name, "x", I, A), (bs_r,)))
-                partial = Vp.blocks[(I, A)].T @ ui
+                V = Vp.blocks[(I, A)]
+                if up is None:
+                    partial = np.einsum("ij,ij->j", V, V)
+                else:
+                    ui = (up.blocks[I] if iowner == me
+                          else ctx.recv(iowner, (out_name, "x", I, A),
+                                        (rlay.block_size,)))
+                    partial = V.T @ ui
                 if towner == me:
                     acc += partial
                 else:
                     ctx.send(towner, (out_name, "ps", A, I), partial)
             elif towner == me:
-                acc += ctx.recv(vowner, (out_name, "ps", A, I), (bs_c,))
+                acc += ctx.recv(vowner, (out_name, "ps", A, I),
+                                (clay.block_size,))
         if towner == me:
             w[A] = acc
     ctx.store[out_name] = LocalPiece("vector", clay, None, w)
@@ -422,29 +331,24 @@ def xprod_mat_vec(ctx, v_name, u_name, out_name):
 def xprod_self(ctx, v_name, out_name):
     """S = V^T V in lower-triangular storage over V's column layout."""
     Vp = ctx.fetch(v_name)
+    grid, me = ctx.grid, ctx.coord
     rlay, clay = Vp.row_layout, Vp.col_layout
-    D, Br, Bc = ctx.grid.D, rlay.B, clay.B
     bs_r, bs_c = rlay.block_size, clay.block_size
-    me = ctx.coord
     S = {}
-    for A in range(1, Bc + 1):
-        ra = _res(A, D)
+    for A in range(1, clay.B + 1):
         for Bcol in range(1, A + 1):
-            rb = _res(Bcol, D)
-            towner = _fold(ra, rb)
+            towner = block_owner(A, Bcol, grid)
             acc = np.zeros((bs_c, bs_c)) if towner == me else None
-            for I in range(1, Br + 1):
-                aowner = _fold(_res(I, D), ra)
-                bowner = _fold(_res(I, D), rb)
-                if bowner == me and aowner != me and Bcol != A:
+            for I in range(1, rlay.B + 1):
+                aowner = rect_block_owner(I, A, grid)
+                bowner = rect_block_owner(I, Bcol, grid)
+                if bowner == me and aowner != me:
                     ctx.send(aowner, (out_name, "col", I, Bcol),
                              Vp.blocks[(I, Bcol)])
                 if aowner == me:
-                    vb = (Vp.blocks[(I, Bcol)] if (bowner == me or Bcol == A)
+                    vb = (Vp.blocks[(I, Bcol)] if bowner == me
                           else ctx.recv(bowner, (out_name, "col", I, Bcol),
                                         (bs_r, bs_c)))
-                    if Bcol == A:
-                        vb = Vp.blocks[(I, A)]
                     partial = Vp.blocks[(I, A)].T @ vb
                     if towner == me:
                         acc += partial
@@ -456,35 +360,6 @@ def xprod_self(ctx, v_name, out_name):
             if towner == me:
                 S[(A, Bcol)] = np.tril(acc) if A == Bcol else acc
     ctx.store[out_name] = LocalPiece("triangular", clay, clay, S)
-
-
-@registry.register("distla.xprod_self_diag")
-def xprod_self_diag(ctx, v_name, out_name):
-    """diag(V^T V) as a distributed vector on V's column layout."""
-    Vp = ctx.fetch(v_name)
-    rlay, clay = Vp.row_layout, Vp.col_layout
-    D, Br, Bc = ctx.grid.D, rlay.B, clay.B
-    bs_c = clay.block_size
-    me = ctx.coord
-    d = {}
-    for A in range(1, Bc + 1):
-        ra = _res(A, D)
-        towner = (ra, ra)
-        acc = np.zeros(bs_c) if towner == me else None
-        for I in range(1, Br + 1):
-            vowner = _fold(_res(I, D), ra)
-            if vowner == me:
-                V = Vp.blocks[(I, A)]
-                partial = np.einsum("ij,ij->j", V, V)
-                if towner == me:
-                    acc += partial
-                else:
-                    ctx.send(towner, (out_name, "ps", A, I), partial)
-            elif towner == me:
-                acc += ctx.recv(vowner, (out_name, "ps", A, I), (bs_c,))
-        if towner == me:
-            d[A] = acc
-    ctx.store[out_name] = LocalPiece("vector", clay, None, d)
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +408,6 @@ def collect_blocks(ctx, name, diagonal_only=False):
         if I == J:
             out[(I, J)] = np.diag(block).copy()
     return out
-
-
-@registry.register("distla.split")
-def split(ctx, name, kind, array, row_layout, col_layout=None):
-    """Store this worker's share of a master-side dense array."""
-    blocks = split_array(kind, array, ctx.grid, ctx.coord, row_layout, col_layout)
-    ctx.store[name] = LocalPiece(kind, row_layout,
-                                 (col_layout or row_layout) if kind != "vector"
-                                 else None, blocks)
 
 
 # ---------------------------------------------------------------------------

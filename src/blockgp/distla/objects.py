@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..grid import (BlockLayout, block_owner, rect_block_owner,
-                    rect_blocks, triangular_blocks, vector_block_owner,
+from ..grid import (BlockLayout, rect_blocks, triangular_blocks,
                     vector_blocks)
 
 
@@ -80,29 +79,33 @@ def pad_block(kind, block, I, J, row_layout, col_layout=None):
     return block
 
 
-def split_array(kind, array, grid, coord, row_layout, col_layout=None):
-    """Blocks of a master-side dense array owned by `coord`, padding applied."""
-    blocks = {}
+def split_array(kind, array, grid, row_layout, col_layout=None):
+    """Owned blocks of a master-side dense array for every coordinate of the
+    grid, {coord: blocks}; the array is padded once."""
+    bs_r = row_layout.block_size
     if kind == "vector":
-        bs = row_layout.block_size
-        x = np.zeros(row_layout.padded_n)
-        x[:row_layout.n] = array
-        for J in vector_blocks(coord, row_layout, grid):
-            blocks[J] = x[(J - 1) * bs:J * bs].copy()
-        return blocks
-    cl = col_layout or row_layout
-    bs_r, bs_c = row_layout.block_size, cl.block_size
-    A = np.zeros((row_layout.padded_n, cl.padded_n))
-    if kind == "triangular":
-        A[:row_layout.n, :row_layout.n] = np.tril(array)
-        for t in range(row_layout.n, row_layout.padded_n):
-            A[t, t] = 1.0
+        A = np.zeros(row_layout.padded_n)
+        A[:row_layout.n] = array
+
+        def cut(J):
+            return A[(J - 1) * bs_r:J * bs_r].copy()
     else:
-        A[:row_layout.n, :cl.n] = array
-    for I, J in owned_blocks(kind, coord, grid, row_layout, cl):
-        blocks[(I, J)] = A[(I - 1) * bs_r:I * bs_r,
-                           (J - 1) * bs_c:J * bs_c].copy()
-    return blocks
+        cl = col_layout or row_layout
+        bs_c = cl.block_size
+        A = np.zeros((row_layout.padded_n, cl.padded_n))
+        if kind == "triangular":
+            A[:row_layout.n, :row_layout.n] = np.tril(array)
+            for t in range(row_layout.n, row_layout.padded_n):
+                A[t, t] = 1.0
+        else:
+            A[:row_layout.n, :cl.n] = array
+
+        def cut(key):
+            I, J = key
+            return A[(I - 1) * bs_r:I * bs_r, (J - 1) * bs_c:J * bs_c].copy()
+    return {coord: {key: cut(key) for key in owned_blocks(
+                kind, coord, grid, row_layout, col_layout)}
+            for coord in grid.coords()}
 
 
 def assemble(kind, pieces, row_layout, col_layout=None):

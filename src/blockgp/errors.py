@@ -97,10 +97,6 @@ class NonFiniteObjective(BlockGPError):
     """Log density non-finite at the optimizer's starting point."""
 
 
-class BudgetExhausted(BlockGPError):
-    """Optimizer evaluation budget hit before convergence."""
-
-
 class ConfigError(BlockGPError):
     """Invalid or unreadable job configuration."""
 

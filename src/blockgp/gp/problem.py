@@ -126,8 +126,7 @@ class KrigeProblem:
         mu = distla.construct_distributed(
             self.cluster, self._nm("mu"), "vector", self.spec.mean_fn,
             theta, inputs_name=self._nm("inputs"), row_layout=self.row_layout)
-        L, stats = distla.distributed_cholesky(self.cluster, cov, self._nm("L"))
-        self.last_cholesky_stats = stats
+        L, _ = distla.distributed_cholesky(self.cluster, cov, self._nm("L"))
         self.cluster.remote_apply("sub", [self._y.name, mu.name],
                                   self._nm("resid"))
         resid = distla.DistVector(self._nm("resid"), self.row_layout)
@@ -140,6 +139,7 @@ class KrigeProblem:
         }
         for key in ("L", "u", "mu"):
             self._fresh[key] = fp
+        self._fresh.pop("V", None)  # V and pred_mean derive from the old L
 
     def _ensure_prediction_basis(self, theta):
         """V = L^{-1} C_cross and the predicted mean, fresh for theta."""

@@ -1,14 +1,12 @@
 """Triangular process grid and block-cyclic layout arithmetic.
 
 Everything here is pure index bookkeeping: which worker owns which block of a
-triangular / rectangular / vector object, and which global element indices a
-worker's blocks cover.  All external indices are 1-based.
+triangular / rectangular / vector object.  This is the only place that
+ownership is computed.  All external indices are 1-based.
 """
 
 from dataclasses import dataclass
 from math import ceil, isqrt
-
-import numpy as np
 
 from .errors import DimensionMismatch, NotTriangularNumber, OutOfTriangle
 
@@ -65,9 +63,6 @@ class ProcessGrid:
         """All coordinates in rank order."""
         return [self.rank_to_coord(r) for r in range(1, self.P + 1)]
 
-    def is_diagonal(self, coord):
-        return coord[0] == coord[1]
-
 
 def grid_from_process_count(P):
     """Build the ProcessGrid for a triangular worker count."""
@@ -121,9 +116,7 @@ def block_owner(I, J, grid):
     """Owner coordinate of lower-triangular block (I, J) under residue folding."""
     if J > I:
         raise OutOfTriangle(f"block ({I},{J}) above the diagonal")
-    a = _residue(I, grid.D)
-    b = _residue(J, grid.D)
-    return (a, b) if a >= b else (b, a)
+    return rect_block_owner(I, J, grid)
 
 
 def rect_block_owner(I, J, grid):
@@ -160,75 +153,3 @@ def vector_blocks(coord, layout, grid):
     """Vector blocks owned by `coord`, ascending."""
     return [J for J in range(1, layout.B + 1)
             if vector_block_owner(J, grid) == coord]
-
-
-def triangular_length(coord, layout, grid):
-    """Stored element count (column-wise, lower triangle only on diagonal blocks)."""
-    bs = layout.block_size
-    total = 0
-    for I, J in triangular_blocks(coord, layout, grid):
-        total += bs * (bs + 1) // 2 if I == J else bs * bs
-    return total
-
-
-def rect_length(coord, row_layout, col_layout, grid):
-    n_blocks = len(rect_blocks(coord, row_layout, col_layout, grid))
-    return n_blocks * row_layout.block_size * col_layout.block_size
-
-
-def vector_length(coord, layout, grid):
-    return len(vector_blocks(coord, layout, grid)) * layout.block_size
-
-
-def _block_indices(I, J, row_layout, col_layout, lower_only):
-    """(i, j) element index arrays for one block, column-major."""
-    bs_r, bs_c = row_layout.block_size, col_layout.block_size
-    r0, _ = row_layout.block_range(I)
-    c0, _ = col_layout.block_range(J)
-    jj, ii = np.meshgrid(np.arange(bs_c), np.arange(bs_r), indexing="xy")
-    # column-major order within the block
-    ii = ii.T.ravel() + r0
-    jj = jj.T.ravel() + c0
-    if lower_only:
-        keep = ii >= jj
-        ii, jj = ii[keep], jj[keep]
-    return ii, jj
-
-
-def local_index_sets(kind, coord, grid, row_layout, col_layout=None):
-    """Global element indices covered by `coord`'s blocks, in storage order.
-
-    Blocks are visited column-major over the block grid and elements
-    column-major within each block; diagonal blocks of triangular objects
-    contribute only their lower triangle.  Returns (i, j, padded) arrays where
-    `padded` flags entries with i > n_rows or j > n_cols.
-    """
-    if kind == "triangular":
-        col_layout = row_layout
-        blocks = triangular_blocks(coord, row_layout, grid)
-        parts = [_block_indices(I, J, row_layout, col_layout, I == J)
-                 for I, J in blocks]
-    elif kind == "rectangular":
-        if col_layout is None:
-            raise DimensionMismatch("rectangular index sets need a column layout")
-        blocks = rect_blocks(coord, row_layout, col_layout, grid)
-        parts = [_block_indices(I, J, row_layout, col_layout, False)
-                 for I, J in blocks]
-    elif kind == "vector":
-        bs = row_layout.block_size
-        parts = []
-        for J in vector_blocks(coord, row_layout, grid):
-            s0, _ = row_layout.block_range(J)
-            i = np.arange(s0, s0 + bs)
-            parts.append((i, np.ones_like(i)))
-        col_layout = BlockLayout(1, 1, 1)
-    else:
-        raise DimensionMismatch(f"unknown kind {kind!r}")
-
-    if not parts:
-        empty = np.zeros(0, dtype=int)
-        return empty, empty, np.zeros(0, dtype=bool)
-    i = np.concatenate([p[0] for p in parts])
-    j = np.concatenate([p[1] for p in parts])
-    padded = (i > row_layout.n) | (j > col_layout.n)
-    return i, j, padded

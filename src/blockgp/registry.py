@@ -26,7 +26,3 @@ def lookup(fn_id):
         return _FUNCTIONS[fn_id]
     except KeyError:
         raise UnknownFunction(f"no registered function {fn_id!r}") from None
-
-
-def is_registered(fn_id):
-    return fn_id in _FUNCTIONS

@@ -191,8 +191,9 @@ class Cluster:
         self.stats = {"collectives": 0}
 
     # -- backend hooks -------------------------------------------------
-    def _dispatch(self, targets, cmd):
-        """Send `cmd` to each target rank, return results in rank order."""
+    def _dispatch(self, cmds):
+        """Send each rank its command ({rank: cmd}), return the results in
+        the same order."""
         raise NotImplementedError
 
     def _stop(self):
@@ -211,8 +212,11 @@ class Cluster:
         return list(range(1, self.P + 1))
 
     def _gather(self, targets, cmd):
+        return self._gather_each(dict.fromkeys(targets, cmd))
+
+    def _gather_each(self, cmds):
         self._check_up()
-        results = self._dispatch(targets, cmd)
+        results = self._dispatch(cmds)
         err = None
         for status, *rest in results:
             if status == "err":
@@ -239,9 +243,11 @@ class Cluster:
             self._gather([t], ("push", name, copy_payload(value)))
 
     def scatter(self, name, per_rank_values):
-        """Store a different value under the same name on each rank."""
-        for rank, value in per_rank_values.items():
-            self._gather([rank], ("push", name, copy_payload(value)))
+        """Store a different value under the same name on each rank, in one
+        dispatch.  The values are handed over, not copied: the caller must
+        not keep using them."""
+        self._gather_each({rank: ("push", name, value)
+                           for rank, value in per_rank_values.items()})
 
     def pull(self, name, source):
         return self._gather([source], ("pull", name))[0]

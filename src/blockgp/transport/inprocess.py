@@ -55,10 +55,10 @@ class InProcessCluster(Cluster):
                 w.core.mailbox.put(Message(src=src, dst=rank, tag=None,
                                            epoch=self.epoch, kind="abort"))
 
-    def _dispatch(self, targets, cmd):
-        for t in targets:
+    def _dispatch(self, cmds):
+        for t, cmd in cmds.items():
             self._workers[t].cmd_q.put(cmd)
-        return [self._workers[t].res_q.get() for t in targets]
+        return [self._workers[t].res_q.get() for t in cmds]
 
     def _stop(self):
         for w in self._workers.values():

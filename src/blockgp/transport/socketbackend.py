@@ -93,10 +93,10 @@ class SocketCluster(Cluster):
                     q.put(("err", rank, ConnectionError(
                         f"worker {rank} connection lost")))
 
-    def _dispatch(self, targets, cmd):
-        for t in targets:
+    def _dispatch(self, cmds):
+        for t, cmd in cmds.items():
             self._write(t, encode_control({"kind": "command", "cmd": cmd}))
-        return [self._res_q[t].get() for t in targets]
+        return [self._res_q[t].get() for t in cmds]
 
     def _stop(self):
         for rank in list(self._socks):

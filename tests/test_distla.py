@@ -6,6 +6,7 @@ import pytest
 from blockgp import distla, registry
 from blockgp.errors import (DimensionMismatch, NotPositiveDefinite,
                             SingularDiagonal)
+from blockgp.transport.inprocess import InProcessCluster
 
 from conftest import exp_cov, relerr, spd_matrix
 
@@ -400,3 +401,67 @@ class TestLayoutInvariance:
         for got in results[1:]:
             for a, b_ in zip(got, ref):
                 assert relerr(a, b_) <= 1e-12
+
+
+class TestSchedules:
+    # (messages, payload bytes) per phase of each kernel call on P=3, with
+    # padded rows (n=13, block size 4) and columns (m=7, block size 2)
+    TRAFFIC = {
+        "cholesky": {"col": (9, 1152), "diag": (3, 384)},
+        "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
+        "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
+        "solve_rect_forward": {"col": (12, 1536), "diag": (8, 1024),
+                               "ps": (16, 1024)},
+        "solve_rect_back": {"col": (12, 1536), "diag": (8, 1024),
+                            "ps": (16, 1024)},
+        "mult_vector": {"ps": (4, 128), "x": (4, 128)},
+        "mult_rect": {"col": (20, 2560), "ps": (16, 1024)},
+        "xprod_mat_vec": {"ps": (8, 128), "x": (8, 256)},
+        "xprod_self": {"col": (16, 1024), "ps": (20, 640)},
+        "xprod_self_diag": {"ps": (8, 128)},
+    }
+
+    def test_per_kernel_traffic_is_pinned(self, cluster_factory, monkeypatch):
+        sent = []
+        deliver = InProcessCluster._deliver
+
+        def counted(self, src, dst, tag, payload):
+            sent.append((tag[1], np.asarray(payload).nbytes))
+            deliver(self, src, dst, tag, payload)
+
+        monkeypatch.setattr(InProcessCluster, "_deliver", counted)
+        cl = cluster_factory(3)
+        n, m = 13, 7
+        rows, cols = _layout(cl, n, 2), _layout(cl, m, 2)
+        rng = np.random.default_rng(0)
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=16), "triangular",
+                              rows)
+        b = distla.distribute(cl, "b", rng.standard_normal(n), "vector", rows)
+        R = distla.distribute(cl, "R", rng.standard_normal((n, m)),
+                              "rectangular", rows, cols)
+
+        def traffic(call):
+            sent.clear()
+            call()
+            out = {}
+            for phase, nbytes in sent:
+                msgs, total = out.get(phase, (0, 0))
+                out[phase] = (msgs + 1, total + nbytes)
+            return out
+
+        got = {"cholesky": traffic(
+            lambda: distla.distributed_cholesky(cl, C, "L"))}
+        L = distla.DistTriangular("L", rows)
+        for side in ("forward", "back"):
+            got[f"solve_vector_{side}"] = traffic(
+                lambda: distla.triangular_solve(cl, L, b, "x", side=side))
+            got[f"solve_rect_{side}"] = traffic(
+                lambda: distla.triangular_solve(cl, L, R, "X", side=side))
+        got["mult_vector"] = traffic(lambda: distla.mult_chol(cl, L, b, "y"))
+        got["mult_rect"] = traffic(lambda: distla.mult_chol(cl, L, R, "Y"))
+        got["xprod_mat_vec"] = traffic(
+            lambda: distla.crossprod_mat_vec(cl, R, b, "w"))
+        got["xprod_self"] = traffic(lambda: distla.crossprod_self(cl, R, "S"))
+        got["xprod_self_diag"] = traffic(
+            lambda: distla.crossprod_self_diag(cl, R, "d"))
+        assert got == self.TRAFFIC

@@ -149,6 +149,36 @@ class TestFreshness:
         assert cl.stats["collectives"] > before
 
 
+    @pytest.mark.parametrize("final", ["predict", "simulate"])
+    def test_revisited_theta_after_rebuild_matches_fresh_problem(
+            self, cluster_factory, final):
+        # predict at A, then B, then A again from the cache: the next
+        # prediction rebuilds L for A and must not trust V from before B
+        rng = np.random.default_rng(6)
+        coords = np.sort(rng.uniform(0, 5, 15))
+        y = rng.standard_normal(15)
+        pred = np.linspace(0.5, 4.5, 4)
+        theta_a = np.array([1.0, 1.0, 0.1])
+        theta_b = np.array([1.0, 1.0, 0.2])
+
+        def run(prob):
+            if final == "predict":
+                return prob.predict(se_fit=True)
+            return (prob.simulate_realizations(3, post=True),)
+
+        prob = _problem(cluster_factory(3, seed=5), coords, y, theta_a,
+                        pred=pred)
+        prob.log_density(theta_a)
+        prob.predict()
+        prob.log_density(theta_b)
+        prob.log_density(theta_a)
+        got = run(prob)
+        fresh = _problem(cluster_factory(3, seed=5), coords, y, theta_a,
+                         pred=pred)
+        for g, w in zip(got, run(fresh)):
+            np.testing.assert_array_equal(g, w)
+
+
 class TestOptimize:
     def test_scaled_identity_recovers_closed_form_mle(self, cluster_factory):
         cl = cluster_factory(3)

@@ -1,18 +1,16 @@
-"""Layout arithmetic: grid bijections, block ownership, index sets, padding."""
+"""Layout arithmetic: grid bijections, block ownership, padding."""
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgp.errors import NotTriangularNumber, OutOfTriangle
 from blockgp.grid import (BlockLayout, ProcessGrid, block_owner, default_h,
-                          grid_from_process_count, local_index_sets,
-                          rect_block_owner, rect_blocks, rect_length,
-                          triangular_blocks, triangular_length,
-                          vector_block_owner, vector_blocks, vector_length)
+                          grid_from_process_count, rect_block_owner,
+                          rect_blocks, triangular_blocks, vector_block_owner,
+                          vector_blocks)
 
 
 class TestProcessGrid:
@@ -109,50 +107,6 @@ class TestBlockOwnership:
     def test_single_worker_owns_every_vector_block(self):
         grid = ProcessGrid(1)
         assert all(vector_block_owner(J, grid) == (1, 1) for J in range(1, 9))
-
-
-class TestLocalIndexSets:
-    def test_trivial_two_by_two_triangle(self):
-        grid = ProcessGrid(1)
-        layout = BlockLayout(n=2, h=1, D=1)
-        i, j, padded = local_index_sets("triangular", (1, 1), grid, layout)
-        assert list(zip(i, j)) == [(1, 1), (2, 1), (2, 2)]
-        assert not padded.any()
-
-    def test_off_diagonal_block_column_major(self):
-        grid = ProcessGrid(2)
-        layout = BlockLayout(n=4, h=1, D=2)
-        i, j, padded = local_index_sets("triangular", (2, 1), grid, layout)
-        assert list(zip(i, j)) == [(3, 1), (4, 1), (3, 2), (4, 2)]
-        assert not padded.any()
-
-    def test_upper_block_contract(self):
-        # a worker assigned the top-left 2x2 rectangular block sees exactly
-        # the four element indices of that block
-        grid = ProcessGrid(1)
-        layout = BlockLayout(n=2, h=1, D=1)
-        i, j, _ = local_index_sets("rectangular", (1, 1), grid, layout, layout)
-        assert set(zip(i, j)) == {(1, 1), (2, 1), (1, 2), (2, 2)}
-
-    def test_padded_entries_flagged(self):
-        grid = ProcessGrid(2)
-        layout = BlockLayout(n=3, h=1, D=2)  # block size 2, padded to 4
-        i, j, padded = local_index_sets("triangular", (2, 2), grid, layout)
-        assert padded.tolist() == [(a > 3 or b > 3) for a, b in zip(i, j)]
-        assert padded.any()
-
-    @pytest.mark.parametrize("D,h,n", [(1, 1, 5), (2, 2, 17), (3, 2, 29)])
-    def test_lengths_match_index_sets(self, D, h, n):
-        grid = ProcessGrid(D)
-        layout = BlockLayout(n=n, h=h, D=D)
-        for coord in grid.coords():
-            i, _, _ = local_index_sets("triangular", coord, grid, layout)
-            assert len(i) == triangular_length(coord, layout, grid)
-            i, _, _ = local_index_sets("vector", coord, grid, layout)
-            assert len(i) == vector_length(coord, layout, grid)
-            i, _, _ = local_index_sets("rectangular", coord, grid,
-                                       layout, layout)
-            assert len(i) == rect_length(coord, layout, layout, grid)
 
     def test_rect_blocks_cover_grid(self):
         grid = ProcessGrid(3)
