@@ -2,9 +2,9 @@
 
 A KrigeProblem keeps only metadata and collected small results on the master;
 mean vectors, covariance matrices, Cholesky factors, and solved systems stay
-distributed under a per-problem name prefix.  Every derived distributed
-object carries a freshness fingerprint of the parameter vector, so repeated
-calls at unchanged parameters issue no distributed work at all.
+distributed under a per-problem name prefix.  One state slot records the
+single theta the distributed objects were built for, so repeated calls at
+that theta issue no distributed work at all.
 """
 
 import logging
@@ -72,7 +72,12 @@ class OptResult:
 
 
 class KrigeProblem:
-    """Master-side metadata and drivers for one GP regression problem."""
+    """Master-side metadata and drivers for one GP regression problem.
+
+    The workers hold one copy of each derived object (C, L, u, V, ...) under
+    a fixed name, and `_state` is the one slot saying which theta they were
+    built for, with what was collected from them (`ll`, then `pred_mean`).
+    """
 
     def __init__(self, cluster, name, spec, y, theta0, m=0,
                  h_n=None, h_m=None, h_r=None):
@@ -91,9 +96,18 @@ class KrigeProblem:
         cluster.push(self._nm("inputs"), spec.inputs)
         self._y = distla.distribute(cluster, self._nm("y"), self.y, "vector",
                                     self.row_layout)
-        self._fresh = {}
-        self._scalars = {}
-        self._handles = {}
+        rows, cols = self.row_layout, self.col_layout
+        self._L = distla.DistTriangular(self._nm("L"), rows)
+        self._u = distla.DistVector(self._nm("u"), rows)
+        self._mu = distla.DistVector(self._nm("mu"), rows)
+        self._V = distla.DistRectangular(self._nm("V"), rows, cols)
+        self._state = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     # -- plumbing --------------------------------------------------------
     def _nm(self, suffix):
@@ -109,78 +123,70 @@ class KrigeProblem:
             raise DimensionMismatch("theta entries must be finite and positive")
         return theta
 
-    def _fp(self, theta):
-        return theta.tobytes()
+    def _construct(self, suffix, kind, generator, theta, rows, cols=None):
+        return distla.construct_distributed(
+            self.cluster, self._nm(suffix), kind, generator, theta,
+            inputs_name=self._nm("inputs"), row_layout=rows, col_layout=cols)
 
-    def _is_fresh(self, key, fp):
-        return self._fresh.get(key) == fp
-
-    # -- derived distributed objects, freshness-guarded -------------------
+    # -- the state slot ----------------------------------------------------
     def _ensure_chol(self, theta):
-        fp = self._fp(theta)
-        if self._is_fresh("L", fp):
-            return
-        cov = distla.construct_distributed(
-            self.cluster, self._nm("C"), "triangular", self.spec.cov_fn,
-            theta, inputs_name=self._nm("inputs"), row_layout=self.row_layout)
-        mu = distla.construct_distributed(
-            self.cluster, self._nm("mu"), "vector", self.spec.mean_fn,
-            theta, inputs_name=self._nm("inputs"), row_layout=self.row_layout)
-        L, _ = distla.distributed_cholesky(self.cluster, cov, self._nm("L"))
-        self.cluster.remote_apply("sub", [self._y.name, mu.name],
+        """L, u and mu built for theta on the workers; returns the slot."""
+        fp = theta.tobytes()
+        if self._state.get("fp") == fp:
+            return self._state
+        self._state = {}  # the worker objects are about to be overwritten
+        cov = self._construct("C", "triangular", self.spec.cov_fn, theta,
+                              self.row_layout)
+        self._construct("mu", "vector", self.spec.mean_fn, theta,
+                        self.row_layout)
+        distla.distributed_cholesky(self.cluster, cov, self._L.name)
+        self.cluster.remote_apply("sub", [self._y.name, self._mu.name],
                                   self._nm("resid"))
         resid = distla.DistVector(self._nm("resid"), self.row_layout)
-        u = distla.triangular_solve(self.cluster, L, resid, self._nm("u"),
-                                    side="forward")
-        self._handles.update({"L": L, "u": u, "mu": mu})
-        self._scalars[fp] = {
-            "logdet": distla.log_det_from_chol(self.cluster, L),
-            "ssq": distla.sum_squares(self.cluster, u),
-        }
-        for key in ("L", "u", "mu"):
-            self._fresh[key] = fp
-        self._fresh.pop("V", None)  # V and pred_mean derive from the old L
+        distla.triangular_solve(self.cluster, self._L, resid, self._u.name,
+                                side="forward")
+        logdet = distla.log_det_from_chol(self.cluster, self._L)
+        ssq = distla.sum_squares(self.cluster, self._u)
+        self._state = {"fp": fp, "ll": (-0.5 * self.n * LOG_2PI
+                                        - 0.5 * logdet - 0.5 * ssq)}
+        return self._state
 
     def _ensure_prediction_basis(self, theta):
-        """V = L^{-1} C_cross and the predicted mean, fresh for theta."""
+        """V = L^{-1} C_cross and the predicted mean, built for theta."""
         if self.m <= 0:
             raise DimensionMismatch("problem has no prediction points")
-        fp = self._fp(theta)
-        self._ensure_chol(theta)
-        if self._is_fresh("V", fp):
-            return
-        cross = distla.construct_distributed(
-            self.cluster, self._nm("Cx"), "rectangular", self.spec.cross_cov_fn,
-            theta, inputs_name=self._nm("inputs"),
-            row_layout=self.row_layout, col_layout=self.col_layout)
-        V = distla.triangular_solve(self.cluster, self._handles["L"], cross,
-                                    self._nm("V"), side="forward")
-        mu_pred = distla.construct_distributed(
-            self.cluster, self._nm("mu_pred"), "vector", self.spec.pred_mean_fn,
-            theta, inputs_name=self._nm("inputs"), row_layout=self.col_layout)
-        w = distla.crossprod_mat_vec(self.cluster, V, self._handles["u"],
+        state = self._ensure_chol(theta)
+        if "pred_mean" in state:
+            return state
+        cross = self._construct("Cx", "rectangular", self.spec.cross_cov_fn,
+                                theta, self.row_layout, self.col_layout)
+        distla.triangular_solve(self.cluster, self._L, cross, self._V.name,
+                                side="forward")
+        mu_pred = self._construct("mu_pred", "vector", self.spec.pred_mean_fn,
+                                  theta, self.col_layout)
+        w = distla.crossprod_mat_vec(self.cluster, self._V, self._u,
                                      self._nm("w"))
-        self._handles.update({"V": V, "mu_pred": mu_pred, "w": w})
-        sc = self._scalars[fp]
-        sc["pred_mean"] = (distla.collect(self.cluster, mu_pred)
-                           + distla.collect(self.cluster, w))
-        self._fresh["V"] = fp
+        state["pred_mean"] = (distla.collect(self.cluster, mu_pred)
+                              + distla.collect(self.cluster, w))
+        return state
 
     # -- public API --------------------------------------------------------
     def log_density(self, theta=None):
         """Gaussian log likelihood at theta (defaults to the current vector)."""
         theta = self.theta if theta is None else self._check_theta(theta)
-        fp = self._fp(theta)
-        cached = self._scalars.get(fp)
-        if cached is not None and "ll" in cached:
-            self.theta = theta
-            return cached["ll"]
-        self._ensure_chol(theta)
-        sc = self._scalars[fp]
-        sc["ll"] = (-0.5 * self.n * LOG_2PI - 0.5 * sc["logdet"]
-                    - 0.5 * sc["ssq"])
+        ll = self._ensure_chol(theta)["ll"]
         self.theta = theta
-        return sc["ll"]
+        return ll
+
+    def close(self):
+        """Remove this problem's `name.*` objects from every worker; a later
+        call then fails on the missing inputs instead of reusing a result."""
+        self._state = {}
+        names = {obj for rank in range(1, self.cluster.P + 1)
+                 for obj in self.cluster.remote_ls(rank)
+                 if obj.startswith(self._nm(""))}
+        for obj in sorted(names):
+            self.cluster.remote_rm(obj)
 
     def optimize_log_dens(self, theta0=None, max_evals=500, xatol=1e-6):
         """Maximize the log density with Nelder-Mead on log-transformed theta.
@@ -220,21 +226,18 @@ class KrigeProblem:
 
     def predict(self, se_fit=False):
         """Kriging means at the prediction points (and standard errors)."""
-        self._ensure_prediction_basis(self.theta)
-        sc = self._scalars[self._fp(self.theta)]
-        mean = sc["pred_mean"].copy()
+        mean = self._ensure_prediction_basis(self.theta)["pred_mean"].copy()
         if not se_fit:
             return mean
         if self.spec.pred_var_fn is not None:
-            pv = distla.construct_distributed(
-                self.cluster, self._nm("pv"), "vector", self.spec.pred_var_fn,
-                self.theta, inputs_name=self._nm("inputs"),
-                row_layout=self.col_layout)
+            pv = self._construct("pv", "vector", self.spec.pred_var_fn,
+                                 self.theta, self.col_layout)
             prior_var = distla.collect(self.cluster, pv)
         else:
-            cp = self._construct_pred_cov(self.theta)
+            cp = self._construct("Cp", "triangular", self.spec.pred_cov_fn,
+                                 self.theta, self.col_layout)
             prior_var = distla.collect_diagonal(self.cluster, cp)
-        vtv = distla.crossprod_self_diag(self.cluster, self._handles["V"],
+        vtv = distla.crossprod_self_diag(self.cluster, self._V,
                                          self._nm("vtv_diag"))
         se2 = prior_var - distla.collect(self.cluster, vtv)
         if np.any(se2 < 0):
@@ -243,17 +246,12 @@ class KrigeProblem:
             se2 = np.maximum(se2, 0.0)
         return mean, np.sqrt(se2)
 
-    def _construct_pred_cov(self, theta):
-        return distla.construct_distributed(
-            self.cluster, self._nm("Cp"), "triangular", self.spec.pred_cov_fn,
-            theta, inputs_name=self._nm("inputs"), row_layout=self.col_layout)
-
     def _posterior_cov_distributed(self, theta):
         """Sigma* = C_pred - V^T V as a distributed triangular matrix."""
         self._ensure_prediction_basis(theta)
-        self._construct_pred_cov(theta)
-        distla.crossprod_self(self.cluster, self._handles["V"],
-                              self._nm("VtV"))
+        self._construct("Cp", "triangular", self.spec.pred_cov_fn, theta,
+                        self.col_layout)
+        distla.crossprod_self(self.cluster, self._V, self._nm("VtV"))
         self.cluster.remote_apply("sub", [self._nm("Cp"), self._nm("VtV")],
                                   self._nm("Sigma"))
         return distla.DistTriangular(self._nm("Sigma"), self.col_layout)
@@ -273,17 +271,16 @@ class KrigeProblem:
         `zero_noise` suppresses z for exactness tests.
         """
         fill = "zeros" if zero_noise else "normal"
-        grid = self.cluster.grid
-        r_layout = distla.make_layout(int(r), grid, self.h_r)
+        r_layout = distla.make_layout(int(r), self.cluster.grid, self.h_r)
         if not post:
             self._ensure_chol(self.theta)
             z = distla.construct_rnorm_distributed(
                 self.cluster, self._nm("Z"), "rectangular",
                 self.row_layout, r_layout, fill=fill)
-            lz = distla.mult_chol(self.cluster, self._handles["L"], z,
-                                  self._nm("LZ"))
-            base = distla.collect(self.cluster, self._handles["mu"])
+            lz = distla.mult_chol(self.cluster, self._L, z, self._nm("LZ"))
+            base = distla.collect(self.cluster, self._mu)
             return base[:, None] + distla.collect(self.cluster, lz)
+        mean = self._ensure_prediction_basis(self.theta)["pred_mean"]
         sigma = self._posterior_cov_distributed(self.theta)
         try:
             l_sigma, _ = distla.distributed_cholesky(self.cluster, sigma,
@@ -296,5 +293,4 @@ class KrigeProblem:
             self.cluster, self._nm("Zp"), "rectangular",
             self.col_layout, r_layout, fill=fill)
         lz = distla.mult_chol(self.cluster, l_sigma, z, self._nm("LSZ"))
-        sc = self._scalars[self._fp(self.theta)]
-        return sc["pred_mean"][:, None] + distla.collect(self.cluster, lz)
+        return mean[:, None] + distla.collect(self.cluster, lz)

@@ -189,6 +189,7 @@ class Cluster:
         self.state = "running"
         self.epoch = 0
         self.stats = {"collectives": 0}
+        self.failure = None  # a WorkerFailure after which no work is accepted
 
     # -- backend hooks -------------------------------------------------
     def _dispatch(self, cmds):
@@ -207,6 +208,8 @@ class Cluster:
     def _check_up(self):
         if self.state != "running":
             raise ClusterDown("cluster has been shut down")
+        if self.failure is not None:
+            raise WorkerFailure(self.failure.rank, self.failure.cause)
 
     def _all(self):
         return list(range(1, self.P + 1))
@@ -238,9 +241,9 @@ class Cluster:
         return self._gather(self._all(), ("collective", self.epoch, fn_id, kwargs))
 
     def push(self, name, value, targets=None):
-        targets = targets or self._all()
-        for t in targets:
-            self._gather([t], ("push", name, copy_payload(value)))
+        """Store a copy of value under name on each target, in one dispatch."""
+        self.scatter(name, {t: copy_payload(value)
+                            for t in targets or self._all()})
 
     def scatter(self, name, per_rank_values):
         """Store a different value under the same name on each rank, in one

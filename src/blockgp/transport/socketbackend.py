@@ -4,6 +4,10 @@ The master listens on a loopback socket and relays worker-to-worker data
 frames (star topology); per-channel ordering is preserved because each
 (src, dst) pair's traffic flows through a single TCP connection on each hop
 and the relay forwards frames in arrival order.
+
+A worker whose connection closes or breaks while the cluster runs is a
+`WorkerFailure` attributed to that rank: the running collective is aborted
+on the other ranks, and the cluster refuses all further work with it.
 """
 
 import queue
@@ -12,7 +16,7 @@ import subprocess
 import sys
 import threading
 
-from ..errors import BackendUnavailable
+from ..errors import BackendUnavailable, WorkerFailure
 from .base import Cluster
 from .wire import decode_body, encode_control, encode_data, read_frame
 
@@ -27,6 +31,7 @@ class SocketCluster(Cluster):
         self._locks = {}
         self._res_q = {r: queue.SimpleQueue() for r in self._all()}
         self._procs = []
+        self._fail_lock = threading.Lock()
         try:
             self._listener = socket.create_server(("127.0.0.1", 0))
         except OSError as exc:
@@ -64,8 +69,27 @@ class SocketCluster(Cluster):
             t.start()
 
     def _write(self, rank, frame):
-        with self._locks[rank]:
-            self._socks[rank].sendall(frame)
+        """Send a frame to a rank; a broken connection fails that rank."""
+        try:
+            with self._locks[rank]:
+                self._socks[rank].sendall(frame)
+        except OSError as exc:
+            self._lost(rank, exc)
+
+    def _lost(self, rank, cause):
+        """Record the first lost worker, abort the collective on the others
+        and wake the master if it waits for results."""
+        with self._fail_lock:
+            if self.state != "running" or self.failure is not None:
+                return
+            self.failure = WorkerFailure(rank, ConnectionError(
+                f"worker {rank} connection lost: {cause}"))
+        abort = encode_control({"kind": "abort", "src": rank,
+                                "epoch": self.epoch})
+        for other in self._all():
+            if other != rank:
+                self._write(other, abort)
+            self._res_q[other].put(None)
 
     def _reader(self, rank):
         sock = self._socks[rank]
@@ -73,7 +97,7 @@ class SocketCluster(Cluster):
             while True:
                 body = read_frame(sock)
                 if body is None:
-                    return
+                    raise ConnectionError("connection closed")
                 decoded = decode_body(body)
                 if decoded[0] == "data":
                     _, src, dst, epoch, tag, payload = decoded
@@ -87,24 +111,20 @@ class SocketCluster(Cluster):
                     for other in self._all():
                         if other != obj["src"]:
                             self._write(other, frame)
-        except (ConnectionError, OSError):
-            if self.state == "running":
-                for q in self._res_q.values():
-                    q.put(("err", rank, ConnectionError(
-                        f"worker {rank} connection lost")))
+        except (ConnectionError, OSError) as exc:
+            self._lost(rank, exc)
 
     def _dispatch(self, cmds):
         for t, cmd in cmds.items():
             self._write(t, encode_control({"kind": "command", "cmd": cmd}))
-        return [self._res_q[t].get() for t in cmds]
+        results = [self._res_q[t].get() for t in cmds]
+        self._check_up()  # a lost worker wakes the wait with None results
+        return results
 
     def _stop(self):
         for rank in list(self._socks):
-            try:
-                self._write(rank, encode_control(
-                    {"kind": "command", "cmd": ("shutdown",)}))
-            except OSError:
-                pass
+            self._write(rank, encode_control(
+                {"kind": "command", "cmd": ("shutdown",)}))
         for proc in self._procs:
             try:
                 proc.wait(timeout=10)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, rule,
+                                 run_state_machine_as_test)
 
-from blockgp.errors import DimensionMismatch, UnsupportedSmoothness
+from blockgp import registry, spawn
+from blockgp.errors import (BlockGPError, DimensionMismatch,
+                            NotPositiveDefinite, UnsupportedSmoothness)
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
                         matern_correlation, sqexp_correlation)
 
@@ -27,6 +31,29 @@ def _problem(cl, coords, y, theta, kernel="matern-nugget", pred=None, h=1,
     spec = builtin_spec(kernel, coords, pred, **inputs)
     m = 0 if pred is None else len(pred)
     return KrigeProblem(cl, "t", spec, y, theta, m=m, h_n=h, h_m=h, h_r=h)
+
+
+THETAS = {"A": np.array([1.0, 1.0, 0.1]), "B": np.array([1.3, 0.7, 0.2]),
+          "bad": np.array([6.0, 1.0, 0.1])}
+
+
+@registry.register("test.negated-above-5.cov")
+def _negated_above_five(params, inputs, i, j):
+    """matern-nugget covariance, negated (so not positive definite) when
+    theta[0] > 5."""
+    k = registry.lookup("gen.matern-nugget.cov")(params, inputs, i, j)
+    return -k if params[0] > 5 else k
+
+
+def _small_problem(cl, name="t"):
+    """n=15, m=4 problem at theta A whose Cholesky fails at theta "bad"."""
+    rng = np.random.default_rng(6)
+    coords = np.sort(rng.uniform(0, 5, 15))
+    y = rng.standard_normal(15)
+    spec = builtin_spec("matern-nugget", coords, np.linspace(0.5, 4.5, 4))
+    spec.cov_fn = "test.negated-above-5.cov"
+    return KrigeProblem(cl, name, spec, y, THETAS["A"], m=4, h_n=2, h_m=1,
+                        h_r=1)
 
 
 class TestMaternCorrelation:
@@ -177,6 +204,149 @@ class TestFreshness:
                          pred=pred)
         for g, w in zip(got, run(fresh)):
             np.testing.assert_array_equal(g, w)
+
+    def test_failed_rebuild_leaves_no_stale_state(self, cluster_factory):
+        # the failed Cholesky at the bad theta deletes L on the workers; the
+        # next predict at A must rebuild it rather than trust an older L
+        prob = _small_problem(cluster_factory(3, seed=5))
+        prob.log_density(THETAS["A"])
+        with pytest.raises(NotPositiveDefinite):
+            prob.log_density(THETAS["bad"])
+        got = prob.predict(se_fit=True)
+        fresh = _small_problem(cluster_factory(3, seed=5))
+        for g, w in zip(got, fresh.predict(se_fit=True)):
+            np.testing.assert_array_equal(g, w)
+
+    def test_close_removes_worker_objects(self, cluster_factory):
+        cl = cluster_factory(3)
+        cl.push("t_other", 1.0)
+        keep = _small_problem(cl, name="keep")
+        keep.log_density()
+        with _small_problem(cl) as prob:
+            prob.log_density()
+            prob.predict(se_fit=True)
+            prob.prediction_variance()
+            prob.simulate_realizations(2, post=True)
+            prob.simulate_realizations(2, post=False)
+        for rank in range(1, 4):
+            names = cl.remote_ls(rank)
+            assert not [nm for nm in names if nm.startswith("t.")]
+            assert "t_other" in names and "keep.L" in names
+        for call in (prob.log_density, prob.predict):
+            with pytest.raises(BlockGPError):
+                call()
+        assert keep.log_density(THETAS["B"]) == \
+            _small_problem(cl, name="again").log_density(THETAS["B"])
+
+
+def _outcome(fn):
+    """fn()'s result, or the type of the package error it raised."""
+    try:
+        return fn()
+    except BlockGPError as exc:
+        return type(exc)
+
+
+_ORACLE = {}
+
+
+def _oracle(theta, op, *args):
+    """What a fresh problem at theta returns for op(*args), computed once."""
+    key = (theta.tobytes(), op, args)
+    if key not in _ORACLE:
+        cl = spawn(3, seed=5)
+        try:
+            prob = _small_problem(cl)
+            prob.theta = theta
+            _ORACLE[key] = _outcome(lambda: getattr(prob, op)(*args))
+        finally:
+            cl.shutdown()
+    return _ORACLE[key]
+
+
+def _assert_same(got, want):
+    if isinstance(want, type):
+        assert got is want
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+class KrigeMachine(RuleBasedStateMachine):
+    """Random call sequences on one problem, each result checked bit for bit
+    against a fresh problem at the same theta."""
+
+    def __init__(self):
+        super().__init__()
+        self.cluster = spawn(3, seed=5)
+        self.prob = _small_problem(self.cluster)
+
+    def teardown(self):
+        self.cluster.shutdown()
+
+    def check(self, call, theta, op, *args, repeat_free=False):
+        """call() returns what a fresh problem at theta returns for op(*args);
+        with repeat_free, calling it again issues no collectives."""
+        got = _outcome(call)
+        _assert_same(got, _oracle(theta, op, *args))
+        if repeat_free and not isinstance(got, type):
+            before = self.cluster.stats["collectives"]
+            _assert_same(call(), got)
+            assert self.cluster.stats["collectives"] == before
+
+    @rule(k=st.sampled_from(["A", "B"]))
+    def log_density(self, k):
+        theta = THETAS[k]
+        self.check(lambda: self.prob.log_density(theta), theta, "log_density",
+                   repeat_free=True)
+
+    @rule()
+    def log_density_not_pd(self):
+        self.log_density("bad")
+
+    @rule()
+    def predict(self):
+        theta = self.prob.theta
+        self.check(lambda: self.prob.predict(se_fit=True), theta, "predict",
+                   True)
+        self.check(self.prob.predict, theta, "predict", repeat_free=True)
+
+    @rule()
+    def simulate(self):
+        for post in (True, False):
+            self.check(lambda: self.prob.simulate_realizations(3, post, True),
+                       self.prob.theta, "simulate_realizations", 3, post, True)
+
+    @rule()
+    def optimize(self):
+        want = _oracle(self.prob.theta, "optimize_log_dens", None, 5)
+        res = self.prob.optimize_log_dens(max_evals=5)
+        _assert_same((res.theta, res.log_density, [t[1] for t in res.trace]),
+                     (want.theta, want.log_density,
+                      [t[1] for t in want.trace]))
+        np.testing.assert_array_equal(self.prob.theta, res.theta)
+
+    @rule()
+    def close(self):
+        # ends this problem; the sequence goes on with a new one of the
+        # same name, which nothing left behind may disturb
+        self.prob.close()
+        for rank in range(1, 4):
+            assert not [nm for nm in self.cluster.remote_ls(rank)
+                        if nm.startswith("t.")]
+        for call in (self.prob.log_density, self.prob.predict):
+            with pytest.raises(BlockGPError):
+                call()
+        self.prob = _small_problem(self.cluster)
+
+
+def test_state_machine_matches_fresh_problems():
+    run_state_machine_as_test(KrigeMachine, settings=settings(
+        max_examples=25, stateful_step_count=8, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow]))
 
 
 class TestOptimize:

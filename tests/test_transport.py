@@ -1,6 +1,7 @@
 """Worker runtime: object store, collectives, error propagation, backends."""
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ class TestObjectStore:
         cl.push("x", x)
         x[:] = -1.0
         np.testing.assert_array_equal(cl.pull("x", 1), np.arange(4.0))
+
+    def test_push_is_one_dispatch_with_a_copy_per_rank(self, cluster_factory):
+        cl = cluster_factory(6)
+        dispatch, sent = cl._dispatch, []
+        cl._dispatch = lambda cmds: sent.append(sorted(cmds)) or dispatch(cmds)
+        cl.push("x", np.arange(4.0))
+        assert sent == [[1, 2, 3, 4, 5, 6]]
+        stored = [w.core.ctx.store["x"] for w in cl._workers.values()]
+        assert len({id(x) for x in stored}) == 6
 
 
 class TestRemoteApply:
@@ -267,3 +277,30 @@ def test_socket_backend_error_propagation(cluster_factory):
     L, _ = distla.distributed_cholesky(cl, C, "L")
     np.testing.assert_allclose(distla.collect(cl, L), np.linalg.cholesky(A),
                                atol=1e-12)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("victim", [1, 2, 3])
+def test_socket_dead_worker_is_attributed(cluster_factory, victim):
+    cl = cluster_factory(3, backend="multi-process-socket", blas_threads=1)
+    layout = distla.make_layout(12, cl.grid, h=1)
+    x = distla.distribute(cl, "x", np.arange(12.0), "vector", layout)
+    proc = cl._procs[victim - 1]
+    proc.kill()
+    proc.wait()
+    raised = []
+
+    def call():
+        try:
+            distla.sum_squares(cl, x)
+        except Exception as exc:
+            raised.append(exc)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "call still blocked 10 s after the kill"
+    assert len(raised) == 1 and isinstance(raised[0], WorkerFailure), raised
+    assert raised[0].rank == victim
+    with pytest.raises(WorkerFailure) as info:  # no further work is accepted
+        cl.pull("x", victim % 3 + 1)
+    assert info.value.rank == victim
