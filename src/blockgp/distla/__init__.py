@@ -32,7 +32,7 @@ def _check_square(L):
 
 def construct_distributed(cluster, name, kind, generator, params,
                           inputs_name=None, row_layout=None, col_layout=None):
-    """Distributed construction from a registered entrywise generator."""
+    """Distributed construction from a registered block generator."""
     cluster.run("distla.construct", name=name, kind=kind, generator=generator,
                 params=np.asarray(params, dtype=float), inputs_name=inputs_name,
                 row_layout=row_layout, col_layout=col_layout)

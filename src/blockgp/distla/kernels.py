@@ -28,10 +28,27 @@ from .objects import LocalPiece, owned_blocks, pad_block
 # ---------------------------------------------------------------------------
 # construction
 
+def _live_indices(J, layout):
+    """1-based global indices of block J's unpadded entries."""
+    start, stop = layout.block_range(J)
+    return np.arange(start, min(stop, layout.n) + 1)
+
+
+def _generate(ctx, gen, shape, *args):
+    try:
+        out = np.asarray(gen(*args), dtype=float)
+    except Exception as exc:
+        raise GeneratorError(ctx.rank, exc) from exc
+    if out.shape != shape:
+        raise GeneratorError(ctx.rank, ValueError(
+            f"generator returned shape {out.shape}, expected {shape}"))
+    return out
+
+
 @registry.register("distla.construct")
 def construct(ctx, name, kind, generator, params, inputs_name,
               row_layout, col_layout=None):
-    """Fill owned blocks by evaluating an entrywise generator."""
+    """Fill owned blocks by calling a block generator once per block."""
     gen = registry.lookup(generator)
     inputs = ctx.fetch(inputs_name) if inputs_name else None
     params = np.asarray(params, dtype=float)
@@ -40,30 +57,17 @@ def construct(ctx, name, kind, generator, params, inputs_name,
     blocks = {}
     for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout, col_layout):
         if kind == "vector":
-            J = key
-            i0 = (J - 1) * bs_r + 1
-            i = np.arange(i0, i0 + bs_r)
-            live = i <= row_layout.n
+            i = _live_indices(key, row_layout)
             block = np.zeros(bs_r)
-            try:
-                block[live] = np.asarray(gen(params, inputs, i[live]), dtype=float)
-            except Exception as exc:
-                raise GeneratorError(ctx.rank, exc) from exc
+            block[:len(i)] = _generate(ctx, gen, (len(i),), params, inputs, i)
         else:
             I, J = key
-            r0, c0 = (I - 1) * bs_r + 1, (J - 1) * bs_c + 1
-            jj, ii = np.meshgrid(np.arange(c0, c0 + bs_c),
-                                 np.arange(r0, r0 + bs_r), indexing="xy")
+            i, j = _live_indices(I, row_layout), _live_indices(J, cl)
             block = np.zeros((bs_r, bs_c))
-            mask = (ii <= row_layout.n) & (jj <= cl.n)
+            block[:len(i), :len(j)] = _generate(ctx, gen, (len(i), len(j)),
+                                                params, inputs, i, j)
             if kind == "triangular" and I == J:
-                mask &= ii >= jj
-            try:
-                vals = np.asarray(gen(params, inputs, ii[mask], jj[mask]),
-                                  dtype=float)
-            except Exception as exc:
-                raise GeneratorError(ctx.rank, exc) from exc
-            block[mask] = vals
+                block = np.tril(block)
             pad_block(kind, block, I, J, row_layout, cl)
             ctx.log_event("construct", I, J)
         blocks[key] = block

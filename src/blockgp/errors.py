@@ -74,7 +74,8 @@ class SingularDiagonal(BlockGPError):
 
 
 class GeneratorError(BlockGPError):
-    """User-supplied entrywise generator raised during construction."""
+    """A generator raised, or returned a block of the wrong shape, during
+    construction."""
 
     def __init__(self, rank, cause):
         self.rank = rank

@@ -1,4 +1,9 @@
-"""Covariance kernels and the built-in entrywise generators.
+"""Covariance kernels and the built-in block generators.
+
+A matrix generator is called once per block as `gen(params, inputs, i, j)`,
+where `i` and `j` are the 1-based global row and column indices of the
+block's live part, and returns the len(i) x len(j) block.  A vector
+generator `gen(params, inputs, i)` returns len(i) values.
 
 Matern smoothness is restricted to the half-integer values 1/2, 3/2, 5/2,
 which have closed forms; distances are scaled by sqrt(2*nu)/rho so that
@@ -6,6 +11,7 @@ nu = 1/2 reduces to exp(-d/rho).
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .. import registry
 from ..errors import UnsupportedSmoothness
@@ -34,16 +40,10 @@ def sqexp_correlation(d, rho):
     return np.exp(-0.5 * (d / rho) ** 2)
 
 
-def _points(inputs, key):
+def _points(inputs, key, idx):
+    """Rows idx (1-based) of a point set, as a 2-D array."""
     pts = np.asarray(inputs[key], dtype=float)
-    return pts[:, None] if pts.ndim == 1 else pts
-
-
-def _dist(inputs, left_key, right_key, i, j):
-    X = _points(inputs, left_key)
-    Y = _points(inputs, right_key)
-    diff = X[i - 1] - Y[j - 1]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return (pts[:, None] if pts.ndim == 1 else pts)[idx - 1]
 
 
 def _zero_mean(params, inputs, i):
@@ -56,125 +56,75 @@ registry.register("gen.zero", _zero_mean)
 @registry.register("gen.delta")
 def _delta(params, inputs, i, j):
     """Kronecker delta; collected triangular equals the identity."""
-    return (i == j).astype(float)
+    return np.equal.outer(i, j).astype(float)
 
 
 @registry.register("gen.linear_index")
 def _linear_index(params, inputs, i, j):
     """i + n*(j-1); handy construction oracle."""
-    return i + inputs["n"] * (j - 1.0)
+    return np.add.outer(i, inputs["n"] * (j - 1.0))
 
 
-def _make_pairwise(kernel_id, corr):
-    """Register cov/cross/pred generators for a stationary kernel.
+# Correlations of two point sets X (rows) and Y (columns).
 
-    corr(params, inputs, d) -> correlation; theta[0] is the marginal variance
-    and, when the kernel id ends in "-nugget", theta[-1] is the nugget added
-    to the observation covariance diagonal only.
-    """
-    nugget = kernel_id.endswith("-nugget")
-
-    def cov(params, inputs, i, j):
-        k = params[0] * corr(params, inputs,
-                             _dist(inputs, "coords", "coords", i, j))
-        if nugget:
-            k = k + params[-1] * (i == j)
-        return k
-
-    def cross(params, inputs, i, j):
-        return params[0] * corr(params, inputs,
-                                _dist(inputs, "coords", "pred_coords", i, j))
-
-    def pred(params, inputs, i, j):
-        return params[0] * corr(params, inputs,
-                                _dist(inputs, "pred_coords", "pred_coords", i, j))
-
-    def pred_var(params, inputs, i):
-        return np.full(len(i), params[0])
-
-    registry.register(f"gen.{kernel_id}.cov", cov)
-    registry.register(f"gen.{kernel_id}.cross", cross)
-    registry.register(f"gen.{kernel_id}.pred", pred)
-    registry.register(f"gen.{kernel_id}.predvar", pred_var)
+def _sqexp_corr(params, inputs, X, Y):
+    return sqexp_correlation(cdist(X, Y), params[1])
 
 
-def _sqexp_corr(params, inputs, d):
-    return sqexp_correlation(d, params[1])
+def _matern_corr(params, inputs, X, Y):
+    return matern_correlation(cdist(X, Y), params[1], inputs.get("nu", 0.5))
 
 
-def _matern_corr(params, inputs, d):
-    return matern_correlation(d, params[1], inputs.get("nu", 0.5))
-
-
-_make_pairwise("sqexp", _sqexp_corr)               # theta = (sigma2, rho)
-_make_pairwise("matern", _matern_corr)             # theta = (sigma2, rho)
-_make_pairwise("matern-nugget", _matern_corr)      # theta = (sigma2, rho, tau2)
-
-
-def _product_corr(params, inputs, X, Y, i, j):
-    d1 = np.abs(X[i - 1, 0] - Y[j - 1, 0])
-    d2 = np.abs(X[i - 1, 1] - Y[j - 1, 1])
+def _product_corr(params, inputs, X, Y):
+    """One Matern per coordinate axis of 2-D points."""
+    d1 = cdist(X[:, :1], Y[:, :1], "cityblock")
+    d2 = cdist(X[:, 1:2], Y[:, 1:2], "cityblock")
     return (matern_correlation(d1, params[1], inputs.get("nu1", 0.5)) *
             matern_correlation(d2, params[2], inputs.get("nu2", 0.5)))
 
 
-def _register_product():
-    """matern-product-nugget: theta = (sigma2, rho1, rho2, tau2), 2-D coords;
-    correlation is a product of one Matern per coordinate axis."""
-
-    def cov(params, inputs, i, j):
-        X = _points(inputs, "coords")
-        k = params[0] * _product_corr(params, inputs, X, X, i, j)
-        return k + params[3] * (i == j)
-
-    def cross(params, inputs, i, j):
-        return params[0] * _product_corr(params, inputs,
-                                         _points(inputs, "coords"),
-                                         _points(inputs, "pred_coords"), i, j)
-
-    def pred(params, inputs, i, j):
-        Y = _points(inputs, "pred_coords")
-        return params[0] * _product_corr(params, inputs, Y, Y, i, j)
-
-    def pred_var(params, inputs, i):
-        return np.full(len(i), params[0])
-
-    registry.register("gen.matern-product-nugget.cov", cov)
-    registry.register("gen.matern-product-nugget.cross", cross)
-    registry.register("gen.matern-product-nugget.pred", pred)
-    registry.register("gen.matern-product-nugget.predvar", pred_var)
+def _no_corr(params, inputs, X, Y):
+    return np.zeros((len(X), len(Y)))
 
 
-_register_product()
-
-
-def _register_white():
-    """white: theta = (sigma2,); pure noise, zero cross-covariance."""
-
-    def cov(params, inputs, i, j):
-        return params[0] * (i == j)
-
-    def cross(params, inputs, i, j):
-        return np.zeros(len(i))
-
-    def pred(params, inputs, i, j):
-        return params[0] * (i == j)
-
-    def pred_var(params, inputs, i):
-        return np.full(len(i), params[0])
-
-    registry.register("gen.white.cov", cov)
-    registry.register("gen.white.cross", cross)
-    registry.register("gen.white.pred", pred)
-    registry.register("gen.white.predvar", pred_var)
-
-
-_register_white()
-
-BUILTIN_KERNELS = {
-    "sqexp": 2,
-    "matern": 2,
-    "matern-nugget": 3,
-    "matern-product-nugget": 4,
-    "white": 1,
+# kernel id -> (theta length, correlation, generators that add theta[-1] where
+# the row and column index agree).  theta[0] is always the marginal variance.
+_KERNELS = {
+    "sqexp": (2, _sqexp_corr, ()),                           # sigma2, rho
+    "matern": (2, _matern_corr, ()),                         # sigma2, rho
+    "matern-nugget": (3, _matern_corr, ("cov",)),            # + tau2
+    "matern-product-nugget": (4, _product_corr, ("cov",)),   # sigma2, rho1, rho2, tau2
+    "white": (1, _no_corr, ("cov", "pred")),                 # sigma2: pure noise
 }
+
+# generator kind -> (row point set, column point set)
+_POINT_SETS = {"cov": ("coords", "coords"),
+               "cross": ("coords", "pred_coords"),
+               "pred": ("pred_coords", "pred_coords")}
+
+
+def _block_generator(corr, rows, cols, add_delta):
+    def gen(params, inputs, i, j):
+        k = params[0] * corr(params, inputs, _points(inputs, rows, i),
+                             _points(inputs, cols, j))
+        if add_delta:
+            k = k + params[-1] * np.equal.outer(i, j)
+        return k
+    return gen
+
+
+def _pred_var(params, inputs, i):
+    return np.full(len(i), params[0])
+
+
+def _register_builtins():
+    for kernel, (_, corr, delta_kinds) in _KERNELS.items():
+        for kind, (rows, cols) in _POINT_SETS.items():
+            registry.register(f"gen.{kernel}.{kind}", _block_generator(
+                corr, rows, cols, kind in delta_kinds))
+        registry.register(f"gen.{kernel}.predvar", _pred_var)
+
+
+_register_builtins()
+
+BUILTIN_KERNELS = {kernel: spec[0] for kernel, spec in _KERNELS.items()}

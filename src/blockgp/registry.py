@@ -1,7 +1,7 @@
 """Registry of functions callable by name on the workers.
 
 Both collective programs (SPMD functions taking a worker context) and
-entrywise generators are looked up by string id, so the socket backend can
+block generators are looked up by string id, so the socket backend can
 resolve them inside worker processes without shipping code.
 """
 

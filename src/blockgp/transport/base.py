@@ -40,7 +40,7 @@ class Message:
     tag: tuple
     payload: object = None
     epoch: int = 0
-    kind: str = "data"  # "data" | "abort"
+    kind: str = "data"  # "data" | "abort" | "closed"
 
 
 def copy_payload(x):
@@ -60,6 +60,10 @@ class Mailbox:
     def put(self, msg):
         self._incoming.put(msg)
 
+    def close(self):
+        """Nothing can arrive any more: fail a waiting get and every later one."""
+        self._incoming.put(Message(src=0, dst=0, tag=None, kind="closed"))
+
     def begin_epoch(self, epoch):
         self._stash.clear()
         self._epoch = epoch
@@ -71,6 +75,9 @@ class Mailbox:
             if buf:
                 return buf.popleft()
             msg = self._incoming.get()
+            if msg.kind == "closed":
+                self._incoming.put(msg)
+                raise _CollectiveAborted("no more messages can arrive")
             if msg.epoch < self._epoch:
                 continue  # stale leftover from a previous collective
             if msg.kind == "abort":

@@ -3,20 +3,23 @@
 Usage: python -m blockgp.transport.socket_worker PORT RANK D SEED
 """
 
+import contextlib
 import queue
 import socket
 import sys
 import threading
+import traceback
 
 from ..grid import ProcessGrid
 from .base import Message, WorkerCore
-from .wire import decode_body, encode_control, encode_data, read_frame
+from .wire import (decode_body, encode_control, encode_data, nodelay,
+                   read_frame)
 
 
 def main(argv=None):
     port, rank, D, seed = map(int, (argv or sys.argv[1:])[:4])
     grid = ProcessGrid(D)
-    sock = socket.create_connection(("127.0.0.1", port))
+    sock = nodelay(socket.create_connection(("127.0.0.1", port)))
     wlock = threading.Lock()
 
     def write(frame):
@@ -37,8 +40,7 @@ def main(argv=None):
             while True:
                 body = read_frame(sock)
                 if body is None:
-                    cmds.put(("shutdown",))
-                    return
+                    break
                 decoded = decode_body(body)
                 if decoded[0] == "data":
                     _, src, _dst, epoch, tag, payload = decoded
@@ -53,7 +55,15 @@ def main(argv=None):
                                                  tag=None, epoch=obj["epoch"],
                                                  kind="abort"))
         except (ConnectionError, OSError):
-            cmds.put(("shutdown",))
+            pass
+        except Exception:
+            # an undecodable frame leaves the stream unusable: drop the
+            # connection so the master sees this rank as lost
+            traceback.print_exc()
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        core.mailbox.close()  # ends a collective that waits for a message
+        cmds.put(("shutdown",))
 
     threading.Thread(target=reader, daemon=True).start()
 
@@ -63,7 +73,11 @@ def main(argv=None):
             sock.close()
             return 0
         result = core.handle(cmd)
-        write(encode_control({"kind": "result", "rank": rank, "value": result}))
+        try:
+            write(encode_control({"kind": "result", "rank": rank,
+                                  "value": result}))
+        except OSError:  # connection dropped; the reader queues a shutdown
+            pass
 
 
 if __name__ == "__main__":

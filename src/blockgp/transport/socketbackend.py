@@ -5,9 +5,11 @@ frames (star topology); per-channel ordering is preserved because each
 (src, dst) pair's traffic flows through a single TCP connection on each hop
 and the relay forwards frames in arrival order.
 
-A worker whose connection closes or breaks while the cluster runs is a
-`WorkerFailure` attributed to that rank: the running collective is aborted
-on the other ranks, and the cluster refuses all further work with it.
+A worker whose connection closes or breaks while the cluster runs, or that
+sends a frame the master cannot decode, is a `WorkerFailure` attributed to
+that rank: the running collective is aborted on the other ranks, and the
+cluster refuses all further work with it.  A worker that receives a frame it
+cannot decode drops its connection, so it is lost the same way.
 """
 
 import queue
@@ -18,7 +20,8 @@ import threading
 
 from ..errors import BackendUnavailable, WorkerFailure
 from .base import Cluster
-from .wire import decode_body, encode_control, encode_data, read_frame
+from .wire import (decode_body, encode_control, encode_data, nodelay,
+                   read_frame)
 
 _SPAWN_TIMEOUT = 60.0
 
@@ -52,7 +55,7 @@ class SocketCluster(Cluster):
         try:
             pending = set(self._all())
             while pending:
-                conn, _ = self._listener.accept()
+                conn = nodelay(self._listener.accept()[0])
                 body = read_frame(conn)
                 kind, hello = decode_body(body)
                 assert kind == "control" and hello["kind"] == "hello"
@@ -111,7 +114,7 @@ class SocketCluster(Cluster):
                     for other in self._all():
                         if other != obj["src"]:
                             self._write(other, frame)
-        except (ConnectionError, OSError) as exc:
+        except Exception as exc:  # a broken connection or an undecodable frame
             self._lost(rank, exc)
 
     def _dispatch(self, cmds):

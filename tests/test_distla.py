@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from blockgp import distla, registry
-from blockgp.errors import (DimensionMismatch, NotPositiveDefinite,
-                            SingularDiagonal)
+from blockgp.errors import (DimensionMismatch, GeneratorError,
+                            NotPositiveDefinite, SingularDiagonal)
+from blockgp.gp import BUILTIN_KERNELS, matern_correlation, sqexp_correlation
+from blockgp.grid import rect_block_owner
 from blockgp.transport.inprocess import InProcessCluster
 
 from conftest import exp_cov, relerr, spd_matrix
@@ -16,6 +18,69 @@ LAYOUTS = [(1, 1), (1, 2), (3, 1), (3, 2), (6, 2), (10, 1)]
 
 def _layout(cl, n, h):
     return distla.make_layout(n, cl.grid, h=h)
+
+
+@registry.register("test.full_block")
+def _full_block(params, inputs, i, j):
+    """Nonzero everywhere, above the diagonal too."""
+    return np.add.outer(i, 100.0 * j)
+
+
+@registry.register("test.wrong_shape_last_row")
+def _wrong_shape_last_row(params, inputs, i, j):
+    """One column too many, but only in the first column of the last block
+    row."""
+    extra = int(i[-1] == inputs["n"] and j[0] == 1)
+    return np.zeros((len(i), len(j) + extra))
+
+
+@registry.register("test.scalar_vector")
+def _scalar_vector(params, inputs, i):
+    return 1.0
+
+
+def _padded_triangular(cl, name, layout):
+    """The whole padded matrix from every rank's blocks, padding included."""
+    bs = layout.block_size
+    A = np.zeros((layout.padded_n, layout.padded_n))
+    for rank in range(1, cl.P + 1):
+        for (I, J), block in cl.pull(name, rank).blocks.items():
+            A[(I - 1) * bs:I * bs, (J - 1) * bs:J * bs] = block
+    return A
+
+
+def _entrywise_reference(kernel, theta, X, Y, same, inputs):
+    """Dense covariance built the way the entrywise generators did: one
+    gathered coordinate pair per entry, distance sqrt(sum(diff*diff))."""
+    X = X[:, None] if X.ndim == 1 else X
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(1, len(X) + 1),
+                                           np.arange(1, len(Y) + 1),
+                                           indexing="ij"))
+    if kernel == "matern-product-nugget":
+        corr = (matern_correlation(np.abs(X[i - 1, 0] - Y[j - 1, 0]),
+                                   theta[1], inputs["nu1"]) *
+                matern_correlation(np.abs(X[i - 1, 1] - Y[j - 1, 1]),
+                                   theta[2], inputs["nu2"]))
+    else:
+        diff = X[i - 1] - Y[j - 1]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        if kernel == "sqexp":
+            corr = sqexp_correlation(d, theta[1])
+        elif kernel == "white":
+            corr = np.zeros(len(i))
+        else:
+            corr = matern_correlation(d, theta[1], inputs["nu"])
+    k = theta[0] * corr
+    if same and (kernel.endswith("-nugget") or kernel == "white"):
+        k = k + theta[-1] * (i == j)
+    return k.reshape(len(X), len(Y))
+
+
+KERNEL_THETAS = {"sqexp": [1.2, 0.3], "matern": [1.1, 0.9],
+                 "matern-nugget": [1.0, 1.0, 0.1],
+                 "matern-product-nugget": [1.0, 0.8, 1.3, 0.1],
+                 "white": [0.7]}
 
 
 class TestConstruct:
@@ -51,6 +116,70 @@ class TestConstruct:
         np.testing.assert_allclose(got, np.tril(want), rtol=0, atol=1e-14)
         full = got + np.tril(got, -1).T
         assert np.all(np.linalg.eigvalsh(full) > 0)
+
+
+    def test_block_generator_fills_diagonal_block_then_masks(
+            self, cluster_factory):
+        cl = cluster_factory(3)
+        layout = _layout(cl, 10, 2)  # block size 2, padded to 12
+        t = distla.construct_distributed(cl, "A", "triangular",
+                                         "test.full_block", [],
+                                         row_layout=layout)
+        full = np.add.outer(np.arange(1, 11), 100.0 * np.arange(1, 11))
+        np.testing.assert_array_equal(distla.collect(cl, t), np.tril(full))
+        A = _padded_triangular(cl, "A", layout)
+        np.testing.assert_array_equal(np.triu(A, 1), 0.0)
+        np.testing.assert_array_equal(A[10:, :10], 0.0)
+        np.testing.assert_array_equal(A[10:, 10:], np.eye(2))
+
+    def test_wrong_block_shape_names_the_rank(self, cluster_factory):
+        cl = cluster_factory(3)
+        layout = _layout(cl, 10, 2)
+        cl.push("inp", {"n": 10})
+        with pytest.raises(GeneratorError) as info:
+            distla.construct_distributed(cl, "A", "triangular",
+                                         "test.wrong_shape_last_row", [],
+                                         inputs_name="inp", row_layout=layout)
+        owner = cl.grid.coord_to_rank(*rect_block_owner(layout.B, 1, cl.grid))
+        assert info.value.rank == owner
+        assert f"rank {owner}" in str(info.value)
+        assert "shape" in str(info.value.cause)
+
+    def test_wrong_vector_shape_raises(self, cluster_factory):
+        cl = cluster_factory(3)
+        with pytest.raises(GeneratorError):
+            distla.construct_distributed(cl, "x", "vector",
+                                         "test.scalar_vector", [],
+                                         row_layout=_layout(cl, 10, 2))
+
+    @pytest.mark.parametrize("kernel,dim", [
+        (k, d) for k in BUILTIN_KERNELS for d in (1, 2)
+        if not (k == "matern-product-nugget" and d == 1)])
+    def test_builtin_kernels_match_entrywise_reference(
+            self, cluster_factory, kernel, dim):
+        cl = cluster_factory(3)
+        rng = np.random.default_rng(8)
+        coords = rng.uniform(0, 5, (13, dim)).squeeze()
+        pred = rng.uniform(0, 5, (7, dim)).squeeze()
+        inputs = {"coords": coords, "pred_coords": pred,
+                  "nu": 1.5, "nu1": 2.5, "nu2": 0.5}
+        cl.push("inp", inputs)
+        theta = KERNEL_THETAS[kernel]
+        rows, cols = _layout(cl, 13, 2), _layout(cl, 7, 1)
+        got = {}
+        for kind, obj, rl, cl_ in [("cov", "triangular", rows, None),
+                                   ("cross", "rectangular", rows, cols),
+                                   ("pred", "triangular", cols, None)]:
+            handle = distla.construct_distributed(
+                cl, kind, obj, f"gen.{kernel}.{kind}", theta,
+                inputs_name="inp", row_layout=rl, col_layout=cl_)
+            got[kind] = distla.collect(cl, handle)
+        np.testing.assert_array_equal(got["cov"], np.tril(_entrywise_reference(
+            kernel, theta, coords, coords, True, inputs)))
+        np.testing.assert_array_equal(got["cross"], _entrywise_reference(
+            kernel, theta, coords, pred, False, inputs))
+        np.testing.assert_array_equal(got["pred"], np.tril(_entrywise_reference(
+            kernel, theta, pred, pred, kernel == "white", inputs)))
 
 
 class TestDistributeCollect:

@@ -1,5 +1,6 @@
 """Worker runtime: object store, collectives, error propagation, backends."""
 
+import socket
 import struct
 import threading
 
@@ -10,7 +11,7 @@ from blockgp import distla, registry, spawn
 from blockgp.errors import (BackendUnavailable, ClusterDown, NoSuchObject,
                             NotTriangularNumber, UnknownFunction,
                             WorkerFailure)
-from blockgp.transport import wire
+from blockgp.transport import socket_worker, wire
 from blockgp.transport.base import RUNTIME_OBJECT
 
 from conftest import spd_matrix
@@ -279,6 +280,24 @@ def test_socket_backend_error_propagation(cluster_factory):
                                atol=1e-12)
 
 
+def _raised_within_10s(fn, *args):
+    """Run fn in a thread joined with a 10 s timeout; the one exception it
+    raised."""
+    raised = []
+
+    def call():
+        try:
+            fn(*args)
+        except Exception as exc:
+            raised.append(exc)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "call still blocked after 10 s"
+    assert len(raised) == 1, raised
+    return raised[0]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("victim", [1, 2, 3])
 def test_socket_dead_worker_is_attributed(cluster_factory, victim):
@@ -288,19 +307,87 @@ def test_socket_dead_worker_is_attributed(cluster_factory, victim):
     proc = cl._procs[victim - 1]
     proc.kill()
     proc.wait()
-    raised = []
-
-    def call():
-        try:
-            distla.sum_squares(cl, x)
-        except Exception as exc:
-            raised.append(exc)
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive(), "call still blocked 10 s after the kill"
-    assert len(raised) == 1 and isinstance(raised[0], WorkerFailure), raised
-    assert raised[0].rank == victim
+    exc = _raised_within_10s(distla.sum_squares, cl, x)
+    assert isinstance(exc, WorkerFailure), exc
+    assert exc.rank == victim
     with pytest.raises(WorkerFailure) as info:  # no further work is accepted
         cl.pull("x", victim % 3 + 1)
     assert info.value.rank == victim
+
+
+def _bad_version_frame():
+    frame = bytearray(wire.encode_control({"kind": "command",
+                                           "cmd": ("ls",)}))
+    frame[4] = 99  # the version byte, after the u32 length prefix
+    return bytes(frame)
+
+
+@pytest.mark.slow
+def test_socket_undecodable_frame_is_attributed(cluster_factory):
+    cl = cluster_factory(3, backend="multi-process-socket", blas_threads=1)
+    layout = distla.make_layout(12, cl.grid, h=1)
+    x = distla.distribute(cl, "x", np.arange(12.0), "vector", layout)
+    cl._write(2, _bad_version_frame())
+    exc = _raised_within_10s(distla.sum_squares, cl, x)
+    assert isinstance(exc, WorkerFailure), exc
+    assert exc.rank == 2
+
+
+def _nodelay_on(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+@registry.register("test.wait_for_rank_two")
+def _wait_for_rank_two(ctx):
+    return ctx.recv(2, ("x", "x", 1, 1))
+
+
+@pytest.fixture
+def lone_worker(monkeypatch):
+    """A socket worker (rank 1 of P=3) running in a thread against a listener
+    here: yields (master end, the worker's own socket); the worker must have
+    stopped 10 s after the test ends."""
+    made = []
+    create = socket.create_connection
+
+    def record(*args, **kwargs):
+        made.append(create(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(socket, "create_connection", record)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        worker = threading.Thread(
+            target=socket_worker.main,
+            args=([server.getsockname()[1], 1, 2, 0],), daemon=True)
+        worker.start()
+        conn, _ = server.accept()
+    conn.settimeout(10)
+    with conn:
+        _, hello = wire.decode_body(wire.read_frame(conn))
+        assert hello["kind"] == "hello" and len(made) == 1
+        yield conn, made[0]
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "worker still running 10 s after the end"
+
+
+@pytest.mark.slow
+def test_socket_connections_disable_nagle(cluster_factory, lone_worker):
+    cl = cluster_factory(3, backend="multi-process-socket", blas_threads=1)
+    assert all(_nodelay_on(sock) for sock in cl._socks.values())
+    conn, worker_sock = lone_worker
+    assert _nodelay_on(worker_sock)
+    conn.sendall(wire.encode_control({"kind": "command",
+                                      "cmd": ("shutdown",)}))
+
+
+@pytest.mark.parametrize("ending", ["eof", "undecodable-frame"])
+def test_worker_leaves_a_waiting_collective_when_its_connection_ends(
+        lone_worker, ending):
+    conn, _ = lone_worker
+    conn.sendall(wire.encode_control({
+        "kind": "command",
+        "cmd": ("collective", 1, "test.wait_for_rank_two", {})}))
+    if ending == "eof":
+        conn.shutdown(socket.SHUT_WR)
+    else:
+        conn.sendall(_bad_version_frame())
+        assert wire.read_frame(conn) is None  # the worker hangs up
