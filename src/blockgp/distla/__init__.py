@@ -50,8 +50,8 @@ def construct_rnorm_distributed(cluster, name, kind, row_layout,
 def distribute(cluster, name, array, kind, row_layout, col_layout=None):
     """Split a master-side dense object across the workers.
 
-    The master pads once and sends each rank only the blocks it owns, to all
-    ranks in one dispatch.
+    The master cuts each rank's owned blocks out of the array, padded by
+    `fill_block`, and sends them to all ranks in one dispatch.
     """
     array = np.asarray(array, dtype=float)
     cl = None if kind == "vector" else (col_layout or row_layout)
@@ -109,20 +109,21 @@ def crossprod_mat_vec(cluster, V, u, out_name):
     """V^T u as a distributed vector on V's column layout."""
     if u.layout != V.row_layout:
         raise DimensionMismatch("u layout does not match V's row layout")
-    cluster.run("distla.xprod_mat_vec", v_name=V.name, u_name=u.name,
+    cluster.run("distla.xprod", v_name=V.name, u_name=u.name,
                 out_name=out_name)
     return DistVector(out_name, V.col_layout)
 
 
 def crossprod_self(cluster, V, out_name):
     """V^T V (lower storage) on V's column layout."""
-    cluster.run("distla.xprod_self", v_name=V.name, out_name=out_name)
+    cluster.run("distla.xprod", v_name=V.name, u_name=V.name,
+                out_name=out_name)
     return DistTriangular(out_name, V.col_layout)
 
 
 def crossprod_self_diag(cluster, V, out_name):
     """diag(V^T V) as a distributed vector."""
-    cluster.run("distla.xprod_mat_vec", v_name=V.name, u_name=None,
+    cluster.run("distla.xprod", v_name=V.name, u_name=None,
                 out_name=out_name)
     return DistVector(out_name, V.col_layout)
 
@@ -145,14 +146,8 @@ def collect(cluster, handle):
 def collect_diagonal(cluster, handle):
     """Diagonal of a distributed triangular matrix, unpadded."""
     _check_square(handle)
-    lay = handle.layout
-    bs = lay.block_size
     pieces = cluster.run("distla.collect", name=handle.name, diagonal_only=True)
-    d = np.zeros(lay.padded_n)
-    for blocks in pieces:
-        for (I, _J), v in blocks.items():
-            d[(I - 1) * bs:I * bs] = v
-    return d[:lay.n]
+    return assemble("vector", pieces, handle.layout)
 
 
 def log_det_from_chol(cluster, L):

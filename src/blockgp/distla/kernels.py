@@ -7,12 +7,13 @@ consumer receives its own copy of a block, which keeps the number of
 simultaneously-resident blocks on a worker bounded during the Cholesky sweep
 (owned blocks plus at most a handful of in-flight temporaries).
 
-Block ownership comes only from `grid.py`.  One placement rule serves every
-kernel that combines a matrix block with an operand block: vectors live on
-the diagonal workers; a vector's partial products run where the matrix block
-lives, so the vector block travels ("x" phase); a rectangular operand's
-partial products run where its own block lives, so the matrix block travels
-("col" phase).  Partials travel to the result block's owner ("ps" phase).
+Block ownership comes only from `grid.py`, and `_operand` is the one rule
+for addressing a vector or rectangular operand; vectors live on the diagonal
+workers.  In solves and multiplies a vector's partial products run where the
+L block lives, so the vector block travels ("x" phase), while a rectangular
+operand stays and the L block travels ("col" phase).  Crossproducts V^T U
+run their partials where V's block lives, and U's block travels ("x" or
+"col" by its kind).  Partials travel to the result block's owner ("ps").
 """
 
 import numpy as np
@@ -22,17 +23,11 @@ from .. import registry
 from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
 from ..grid import block_owner, rect_block_owner, vector_block_owner
-from .objects import LocalPiece, owned_blocks, pad_block
+from .objects import LocalPiece, fill_block, owned_blocks
 
 
 # ---------------------------------------------------------------------------
 # construction
-
-def _live_indices(J, layout):
-    """1-based global indices of block J's unpadded entries."""
-    start, stop = layout.block_range(J)
-    return np.arange(start, min(stop, layout.n) + 1)
-
 
 def _generate(ctx, gen, shape, *args):
     try:
@@ -45,34 +40,38 @@ def _generate(ctx, gen, shape, *args):
     return out
 
 
+def _store_owned(ctx, name, kind, row_layout, col_layout, values):
+    """Store fill_block(values(key)) for every block this rank owns."""
+    cl = None if kind == "vector" else (col_layout or row_layout)
+    blocks = {key: fill_block(kind, key, values(key), row_layout, cl)
+              for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout,
+                                      cl)}
+    ctx.store[name] = LocalPiece(kind, row_layout, cl, blocks)
+
+
 @registry.register("distla.construct")
 def construct(ctx, name, kind, generator, params, inputs_name,
               row_layout, col_layout=None):
-    """Fill owned blocks by calling a block generator once per block."""
+    """Fill owned blocks by calling a block generator once per block with
+    the 1-based global indices of its live rows (and columns)."""
     gen = registry.lookup(generator)
     inputs = ctx.fetch(inputs_name) if inputs_name else None
     params = np.asarray(params, dtype=float)
     cl = col_layout or row_layout
-    bs_r, bs_c = row_layout.block_size, cl.block_size
-    blocks = {}
-    for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout, col_layout):
+
+    def indices(J, layout):
+        k = layout.live(J)
+        return np.arange(k.start + 1, k.stop + 1)
+
+    def values(key):
         if kind == "vector":
-            i = _live_indices(key, row_layout)
-            block = np.zeros(bs_r)
-            block[:len(i)] = _generate(ctx, gen, (len(i),), params, inputs, i)
-        else:
-            I, J = key
-            i, j = _live_indices(I, row_layout), _live_indices(J, cl)
-            block = np.zeros((bs_r, bs_c))
-            block[:len(i), :len(j)] = _generate(ctx, gen, (len(i), len(j)),
-                                                params, inputs, i, j)
-            if kind == "triangular" and I == J:
-                block = np.tril(block)
-            pad_block(kind, block, I, J, row_layout, cl)
-            ctx.log_event("construct", I, J)
-        blocks[key] = block
-    ctx.store[name] = LocalPiece(kind, row_layout, cl if kind != "vector" else None,
-                                 blocks)
+            i = indices(key, row_layout)
+            return _generate(ctx, gen, (len(i),), params, inputs, i)
+        I, J = key
+        i, j = indices(I, row_layout), indices(J, cl)
+        ctx.log_event("construct", I, J)
+        return _generate(ctx, gen, (len(i), len(j)), params, inputs, i, j)
+    _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
 @registry.register("distla.rnorm")
@@ -80,28 +79,18 @@ def construct_rnorm(ctx, name, kind, row_layout, col_layout=None, fill="normal")
     """Fill owned blocks with i.i.d. N(0,1) draws from this rank's stream.
 
     Padded positions are drawn too (keeping the stream position a pure
-    function of the block size) and then zeroed.  `fill="zeros"` is the test
-    hook for noise-free simulation.
+    function of the block size) and then dropped by fill_block.
+    `fill="zeros"` is the test hook for noise-free simulation.
     """
-    cl = col_layout or row_layout
-    bs_r, bs_c = row_layout.block_size, cl.block_size
-    blocks = {}
-    for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout, col_layout):
-        if kind == "vector":
-            draw = bs_r
-        else:
-            draw = bs_r * bs_c
-        z = (np.zeros(draw) if fill == "zeros" else ctx.normals(draw))
-        if kind == "vector":
-            block = z
-            pad_block(kind, block, key, key, row_layout)
-        else:
-            I, J = key
-            block = z.reshape((bs_r, bs_c), order="F")
-            pad_block(kind, block, I, J, row_layout, cl)
-        blocks[key] = block
-    ctx.store[name] = LocalPiece(kind, row_layout, cl if kind != "vector" else None,
-                                 blocks)
+    bs = row_layout.block_size
+    shape = ((bs,) if kind == "vector"
+             else (bs, (col_layout or row_layout).block_size))
+    draw = int(np.prod(shape))
+
+    def values(key):
+        z = np.zeros(draw) if fill == "zeros" else ctx.normals(draw)
+        return z.reshape(shape, order="F")
+    _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +196,37 @@ def mult(ctx, l_name, x_name, out_name):
     _apply_chol(ctx, l_name, x_name, out_name, "mult")
 
 
+def _operand(piece, grid):
+    """How kernels address a vector or rectangular piece: (column-block
+    count, owner(I, c), store key(I, c), block shape, travel phase).
+
+    A vector is one column of blocks on the diagonal workers and travels in
+    the "x" phase; any other piece's blocks travel in the "col" phase.
+    """
+    bs = piece.row_layout.block_size
+    if piece.kind == "vector":
+        return (1, lambda I, c: vector_block_owner(I, grid), lambda I, c: I,
+                (bs,), "x")
+    cl = piece.col_layout
+    return (cl.B, lambda I, c: rect_block_owner(I, c, grid),
+            lambda I, c: (I, c), (bs, cl.block_size), "col")
+
+
 def _apply_chol(ctx, l_name, rhs_name, out_name, op):
     """Apply L to a right-hand side: op "forward" (L^-1), "back" (L^-T) or
     "mult" (L).
 
-    A vector is one column of blocks on the diagonal workers.  Result block
-    (J, c) takes one partial per off-diagonal (solves) or every (mult) L
-    block of its row ("back": its column), accumulated in ascending K at the
-    result's owner; a solve's owner then receives L(J, J) per use ("diag")
-    and solves.
+    Result block (J, c) takes one partial per off-diagonal (solves) or
+    every (mult) L block of its row ("back": its column), accumulated in
+    ascending K at the result's owner; a solve's owner then receives L(J, J)
+    per use ("diag") and solves.
     """
     Lp, Rp = ctx.fetch(l_name), ctx.fetch(rhs_name)
     grid, me = ctx.grid, ctx.coord
     lay = Lp.row_layout
     B, bs = lay.B, lay.block_size
     vector = Rp.kind == "vector"
-    if vector:
-        Bc, shape, phase = 1, (bs,), "x"
-
-        def owner(I, c):
-            return vector_block_owner(I, grid)
-
-        def key(I, c):
-            return I
-    else:
-        Bc, shape, phase = Rp.col_layout.B, (bs, Rp.col_layout.block_size), "col"
-
-        def owner(I, c):
-            return rect_block_owner(I, c, grid)
-
-        def key(I, c):
-            return (I, c)
+    Bc, owner, key, shape, phase = _operand(Rp, grid)
     solving = op != "mult"
     combine = np.subtract if solving else np.add
     out = {}
@@ -291,79 +280,53 @@ def _apply_chol(ctx, l_name, rhs_name, out_name, op):
 # ---------------------------------------------------------------------------
 # crossproducts
 
-@registry.register("distla.xprod_mat_vec")
-def xprod_mat_vec(ctx, v_name, u_name, out_name):
-    """w = V^T u, or diag(V^T V) when u_name is None, on V's column layout.
+@registry.register("distla.xprod")
+def xprod(ctx, v_name, u_name, out_name):
+    """V^T u (a vector u), V^T V in lower storage (u_name == v_name), or
+    diag(V^T V) (u_name None), on V's column layout.
 
-    Partials run where the V block lives; u blocks travel there per use.
+    Result block (A, c) takes one partial per row block I, computed where
+    V(I, A) lives; the operand block (I, c) travels there per use, and the
+    partials accumulate in ascending I at the result's owner.
     """
     Vp = ctx.fetch(v_name)
-    up = ctx.fetch(u_name) if u_name is not None else None
+    Up = None if u_name is None else ctx.fetch(u_name)
     grid, me = ctx.grid, ctx.coord
     rlay, clay = Vp.row_layout, Vp.col_layout
-    w = {}
+    square = u_name == v_name
+    out = (LocalPiece("triangular", clay, clay, {}) if square
+           else LocalPiece("vector", clay, None, {}))
+    _, towner_of, out_key, out_shape, _ = _operand(out, grid)
+    if Up is not None:
+        _, owner, key, shape, phase = _operand(Up, grid)
     for A in range(1, clay.B + 1):
-        towner = vector_block_owner(A, grid)
-        acc = np.zeros(clay.block_size) if towner == me else None
-        for I in range(1, rlay.B + 1):
-            vowner = rect_block_owner(I, A, grid)
-            iowner = vector_block_owner(I, grid)
-            if up is not None and iowner == me and vowner != me:
-                ctx.send(vowner, (out_name, "x", I, A), up.blocks[I])
-            if vowner == me:
-                V = Vp.blocks[(I, A)]
-                if up is None:
-                    partial = np.einsum("ij,ij->j", V, V)
-                else:
-                    ui = (up.blocks[I] if iowner == me
-                          else ctx.recv(iowner, (out_name, "x", I, A),
-                                        (rlay.block_size,)))
-                    partial = V.T @ ui
-                if towner == me:
-                    acc += partial
-                else:
-                    ctx.send(towner, (out_name, "ps", A, I), partial)
-            elif towner == me:
-                acc += ctx.recv(vowner, (out_name, "ps", A, I),
-                                (clay.block_size,))
-        if towner == me:
-            w[A] = acc
-    ctx.store[out_name] = LocalPiece("vector", clay, None, w)
-
-
-@registry.register("distla.xprod_self")
-def xprod_self(ctx, v_name, out_name):
-    """S = V^T V in lower-triangular storage over V's column layout."""
-    Vp = ctx.fetch(v_name)
-    grid, me = ctx.grid, ctx.coord
-    rlay, clay = Vp.row_layout, Vp.col_layout
-    bs_r, bs_c = rlay.block_size, clay.block_size
-    S = {}
-    for A in range(1, clay.B + 1):
-        for Bcol in range(1, A + 1):
-            towner = block_owner(A, Bcol, grid)
-            acc = np.zeros((bs_c, bs_c)) if towner == me else None
+        for c in range(1, (A if square else 1) + 1):
+            towner = towner_of(A, c)
+            ps = (out_name, "ps", A, c)
+            acc = np.zeros(out_shape) if towner == me else None
             for I in range(1, rlay.B + 1):
-                aowner = rect_block_owner(I, A, grid)
-                bowner = rect_block_owner(I, Bcol, grid)
-                if bowner == me and aowner != me:
-                    ctx.send(aowner, (out_name, "col", I, Bcol),
-                             Vp.blocks[(I, Bcol)])
-                if aowner == me:
-                    vb = (Vp.blocks[(I, Bcol)] if bowner == me
-                          else ctx.recv(bowner, (out_name, "col", I, Bcol),
-                                        (bs_r, bs_c)))
-                    partial = Vp.blocks[(I, A)].T @ vb
+                vowner = rect_block_owner(I, A, grid)
+                if Up is not None:
+                    uowner, tag = owner(I, c), (out_name, phase, I, c)
+                    if uowner == me and vowner != me:
+                        ctx.send(vowner, tag, Up.blocks[key(I, c)])
+                if vowner == me:
+                    V = Vp.blocks[(I, A)]
+                    if Up is None:
+                        partial = np.einsum("ij,ij->j", V, V)
+                    else:
+                        partial = V.T @ (Up.blocks[key(I, c)] if uowner == me
+                                         else ctx.recv(uowner, tag, shape))
                     if towner == me:
                         acc += partial
                     else:
-                        ctx.send(towner, (out_name, "ps", A, Bcol), partial)
+                        ctx.send(towner, ps, partial)
                 elif towner == me:
-                    acc += ctx.recv(aowner, (out_name, "ps", A, Bcol),
-                                    (bs_c, bs_c))
+                    acc += ctx.recv(vowner, ps, out_shape)
             if towner == me:
-                S[(A, Bcol)] = np.tril(acc) if A == Bcol else acc
-    ctx.store[out_name] = LocalPiece("triangular", clay, clay, S)
+                out.blocks[out_key(A, c)] = (np.tril(acc) if square and A == c
+                                             else acc)
+    ctx.store[out_name] = out
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +336,12 @@ def xprod_self(ctx, v_name, out_name):
 def logdet(ctx, l_name):
     """Local contribution 2 * sum(log diag) over unpadded diagonal entries."""
     Lp = ctx.fetch(l_name)
-    lay = Lp.row_layout
-    bs = lay.block_size
     total = 0.0
     for (I, J), block in sorted(Lp.blocks.items()):
         if I != J:
             continue
-        r0 = (I - 1) * bs  # 0-based
-        live = min(max(lay.n - r0, 0), bs)
-        d = np.diag(block)[:live]
+        k = Lp.row_layout.live(I)
+        d = np.diag(block)[:k.stop - k.start]
         if np.any(d <= 0.0):
             raise SingularDiagonal(f"non-positive diagonal in block {I}")
         total += 2.0 * float(np.sum(np.log(d)))
@@ -392,26 +352,23 @@ def logdet(ctx, l_name):
 def sumsq(ctx, name):
     """Local sum of squares of unpadded vector entries."""
     xp = ctx.fetch(name)
-    lay = xp.row_layout
-    bs = lay.block_size
     total = 0.0
     for J, block in sorted(xp.blocks.items()):
-        live = min(max(lay.n - (J - 1) * bs, 0), bs)
-        total += float(np.dot(block[:live], block[:live]))
+        k = xp.row_layout.live(J)
+        live = block[:k.stop - k.start]
+        total += float(np.dot(live, live))
     return total
 
 
 @registry.register("distla.collect")
 def collect_blocks(ctx, name, diagonal_only=False):
-    """Ship owned blocks (or just diagonal slices) back to the master."""
+    """Ship owned blocks back to the master, or, with `diagonal_only`, the
+    diagonals of the diagonal blocks as vector blocks."""
     piece = ctx.fetch(name)
     if not diagonal_only:
         return {k: np.array(v) for k, v in piece.blocks.items()}
-    out = {}
-    for (I, J), block in piece.blocks.items():
-        if I == J:
-            out[(I, J)] = np.diag(block).copy()
-    return out
+    return {I: np.diag(block).copy()
+            for (I, J), block in piece.blocks.items() if I == J}
 
 
 # ---------------------------------------------------------------------------

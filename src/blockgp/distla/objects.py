@@ -2,10 +2,14 @@
 
 A distributed object is a name plus layout metadata on the master, and a
 LocalPiece (the owned blocks) in each worker's store.  Blocks are dense
-float64 arrays; diagonal blocks of triangular objects keep their strict upper
-triangle at zero.  Padded trailing entries hold the identity pattern for
-triangular objects and zeros for rectangular/vector objects, so padding never
-contaminates factorizations, solves, or products.
+float64 arrays of the layouts' full block size; `BlockLayout.live` says which
+of their entries are real.  Every block that enters the system (a slice of
+a distributed array, a generator's values, a random draw) is made by
+`fill_block`, the one padding rule: padded entries are zero, except that a
+triangular diagonal block keeps its strict upper triangle at zero and has
+ones on its padded diagonal.  The kernels preserve that pattern, so padding
+never contaminates factorizations, solves or products, and `assemble` only
+has to drop it.
 """
 
 from dataclasses import dataclass
@@ -56,71 +60,56 @@ def owned_blocks(kind, coord, grid, row_layout, col_layout=None):
     return vector_blocks(coord, row_layout, grid)
 
 
-def pad_block(kind, block, I, J, row_layout, col_layout=None):
-    """Overwrite the padded tail of a block with its neutral pattern, in place."""
-    col_layout = col_layout or row_layout
-    bs_r = row_layout.block_size
-    bs_c = col_layout.block_size
-    r0 = (I - 1) * bs_r  # 0-based global offset of the block
+def fill_block(kind, key, values, rows, cols=None):
+    """A zero block of key's shape with the live part of `values` written in.
+
+    `values` is the block's live part or a whole padded block.  A triangular
+    diagonal block keeps only its lower triangle and gets ones on its padded
+    diagonal; every other padded entry is zero.
+    """
     if kind == "vector":
-        k = row_layout.n - r0
-        if k < bs_r:
-            block[max(k, 0):] = 0.0
+        block = np.zeros(rows.block_size)
+        k = rows.live(key)
+        block[:k.stop - k.start] = values[:k.stop - k.start]
         return block
-    c0 = (J - 1) * bs_c
-    kr = max(min(row_layout.n - r0, bs_r), 0)
-    kc = max(min(col_layout.n - c0, bs_c), 0)
-    if kr < bs_r or kc < bs_c:
-        block[kr:, :] = 0.0
-        block[:, kc:] = 0.0
-        if kind == "triangular" and I == J:
-            for t in range(kr, bs_r):
-                block[t, t] = 1.0
+    I, J = key
+    r, c = rows.live(I), cols.live(J)
+    kr, kc = r.stop - r.start, c.stop - c.start
+    block = np.zeros((rows.block_size, cols.block_size))
+    block[:kr, :kc] = values[:kr, :kc]
+    if kind == "triangular" and I == J:
+        block = np.tril(block)
+        pad = np.arange(kr, rows.block_size)
+        block[pad, pad] = 1.0
     return block
 
 
 def split_array(kind, array, grid, row_layout, col_layout=None):
     """Owned blocks of a master-side dense array for every coordinate of the
-    grid, {coord: blocks}; the array is padded once."""
-    bs_r = row_layout.block_size
-    if kind == "vector":
-        A = np.zeros(row_layout.padded_n)
-        A[:row_layout.n] = array
-
-        def cut(J):
-            return A[(J - 1) * bs_r:J * bs_r].copy()
-    else:
-        cl = col_layout or row_layout
-        bs_c = cl.block_size
-        A = np.zeros((row_layout.padded_n, cl.padded_n))
-        if kind == "triangular":
-            A[:row_layout.n, :row_layout.n] = np.tril(array)
-            for t in range(row_layout.n, row_layout.padded_n):
-                A[t, t] = 1.0
-        else:
-            A[:row_layout.n, :cl.n] = array
-
-        def cut(key):
-            I, J = key
-            return A[(I - 1) * bs_r:I * bs_r, (J - 1) * bs_c:J * bs_c].copy()
-    return {coord: {key: cut(key) for key in owned_blocks(
-                kind, coord, grid, row_layout, col_layout)}
+    grid, {coord: blocks}."""
+    def cut(key):
+        if kind == "vector":
+            return array[row_layout.live(key)]
+        return array[row_layout.live(key[0]), col_layout.live(key[1])]
+    return {coord: {key: fill_block(kind, key, cut(key), row_layout,
+                                    col_layout)
+                    for key in owned_blocks(kind, coord, grid, row_layout,
+                                            col_layout)}
             for coord in grid.coords()}
 
 
 def assemble(kind, pieces, row_layout, col_layout=None):
-    """Master-side reassembly of collected blocks; strips padding."""
+    """Master-side reassembly of collected blocks, without their padding."""
     if kind == "vector":
-        bs = row_layout.block_size
-        x = np.zeros(row_layout.padded_n)
+        x = np.zeros(row_layout.n)
         for blocks in pieces:
             for J, v in blocks.items():
-                x[(J - 1) * bs:J * bs] = v
-        return x[:row_layout.n]
-    cl = col_layout or row_layout
-    bs_r, bs_c = row_layout.block_size, cl.block_size
-    A = np.zeros((row_layout.padded_n, cl.padded_n))
+                k = row_layout.live(J)
+                x[k] = v[:k.stop - k.start]
+        return x
+    A = np.zeros((row_layout.n, col_layout.n))
     for blocks in pieces:
         for (I, J), v in blocks.items():
-            A[(I - 1) * bs_r:I * bs_r, (J - 1) * bs_c:J * bs_c] = v
-    return A[:row_layout.n, :cl.n]
+            r, c = row_layout.live(I), col_layout.live(J)
+            A[r, c] = v[:r.stop - r.start, :c.stop - c.start]
+    return A

@@ -94,10 +94,11 @@ class BlockLayout:
     def padded_n(self):
         return self.B * self.block_size
 
-    def block_range(self, J):
-        """Global 1-based [start, stop] element indices of block J (padded)."""
+    def live(self, J):
+        """0-based global slice of block J's unpadded entries; only trailing
+        blocks are short, and a block past n is empty."""
         bs = self.block_size
-        return (J - 1) * bs + 1, J * bs
+        return slice(min((J - 1) * bs, self.n), min(J * bs, self.n))
 
 
 def default_h(n, D, target=DEFAULT_BLOCK_TARGET):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ class TestExitCodes:
     def test_backend_failure(self, workdir, capsys):
         assert cli.main(["loglik", str(workdir / "job.cfg"),
                          "backend=carrier-pigeon"]) == 4
+
+    @pytest.mark.slow
+    def test_worker_killed_mid_job(self, workdir, capsys, monkeypatch):
+        spawn, killed = cli.spawn, threading.Event()
+
+        def spawn_with_victim(*args, **kwargs):
+            cl = spawn(*args, **kwargs)
+            run = cl.run
+
+            def run_killing_rank_two(fn_id, **kw):
+                if fn_id == "distla.cholesky":
+                    cl._procs[1].kill()
+                    cl._procs[1].wait()
+                    killed.set()
+                return run(fn_id, **kw)
+            cl.run = run_killing_rank_two
+            return cl
+
+        monkeypatch.setattr(cli, "spawn", spawn_with_victim)
+        codes = []
+        job = threading.Thread(target=lambda: codes.append(cli.main(
+            ["loglik", str(workdir / "job.cfg"),
+             "backend=multi-process-socket"])), daemon=True)
+        job.start()
+        assert killed.wait(timeout=60), "loglik never reached the Cholesky"
+        job.join(timeout=10)
+        assert not job.is_alive(), "loglik still running 10 s after the kill"
+        assert codes == [4]
+        assert "rank 2" in capsys.readouterr().err
 
     def test_pred_grid_with_response_column_rejected(self, workdir, capsys):
         assert cli.main(["predict", str(workdir / "job.cfg"),

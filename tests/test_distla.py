@@ -218,6 +218,31 @@ class TestDistributeCollect:
             distla.distribute(cl, "x", np.ones(5), "vector", _layout(cl, 6, 1))
 
 
+class TestAllPaddingBlock:
+    """n=5, h=3 on P=3: B=6 blocks of size 1, so block 6 is all padding."""
+
+    def test_round_trips_and_kernels(self, cluster_factory):
+        cl = cluster_factory(3)
+        rows, cols = _layout(cl, 5, 3), _layout(cl, 3, 1)
+        assert rows.B == 6 and rows.live(6) == slice(5, 5)
+        rng = np.random.default_rng(21)
+        A, b = spd_matrix(5, seed=22), rng.standard_normal(5)
+        V0 = rng.standard_normal((5, 3))
+        C = distla.distribute(cl, "C", A, "triangular", rows)
+        bd = distla.distribute(cl, "b", b, "vector", rows)
+        V = distla.distribute(cl, "V", V0, "rectangular", rows, cols)
+        np.testing.assert_array_equal(distla.collect(cl, C), np.tril(A))
+        np.testing.assert_array_equal(distla.collect(cl, bd), b)
+        np.testing.assert_array_equal(distla.collect(cl, V), V0)
+        L, _ = distla.distributed_cholesky(cl, C, "L")
+        Lw = np.linalg.cholesky(A)
+        assert relerr(distla.collect(cl, L), Lw) <= 1e-12
+        x = distla.triangular_solve(cl, L, bd, "x", side="forward")
+        assert relerr(distla.collect(cl, x), np.linalg.solve(Lw, b)) <= 1e-12
+        S = distla.crossprod_self(cl, V, "S")
+        assert relerr(distla.collect(cl, S), np.tril(V0.T @ V0)) <= 1e-12
+
+
 class TestCholesky:
     @pytest.mark.parametrize("P,h", LAYOUTS)
     def test_identity_factors_to_identity(self, cluster_factory, P, h):

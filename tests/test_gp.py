@@ -1,5 +1,7 @@
 """Kriging engine: likelihood, MLE, prediction, simulation, freshness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -455,6 +457,24 @@ class TestPredict:
                         pred=np.arange(6.0) + 0.3)
         PV = prob.prediction_variance()
         np.testing.assert_allclose(PV, 3.0 * np.eye(6), atol=1e-12)
+
+    def test_prior_variance_from_prediction_covariance(self, cluster_factory):
+        # without pred_var_fn the prior variances are the collected diagonal
+        # of the prediction covariance; padded layouts on both sides
+        cl = cluster_factory(3)
+        rng = np.random.default_rng(15)
+        coords = np.sort(rng.uniform(0, 10, 17))
+        pred = np.linspace(0.5, 9.5, 7)
+        y = rng.standard_normal(17)
+        spec = builtin_spec("matern-nugget", coords, pred)
+        got = []
+        for name, sp in (("var", spec),
+                         ("diag", dataclasses.replace(spec, pred_var_fn=None))):
+            prob = KrigeProblem(cl, name, sp, y, [1.5, 2.0, 0.1], m=7,
+                                h_n=2, h_m=2, h_r=1)
+            got.append(prob.predict(se_fit=True))
+        for a, b in zip(*got):
+            np.testing.assert_array_equal(a, b)
 
     def test_predict_without_grid_rejected(self, cluster_factory):
         cl = cluster_factory(1)

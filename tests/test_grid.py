@@ -145,5 +145,17 @@ class TestPadding:
 
     def test_block_range(self):
         layout = BlockLayout(n=5, h=1, D=2)  # block size 3
-        assert layout.block_range(1) == (1, 3)
-        assert layout.block_range(2) == (4, 6)
+        assert layout.live(1) == slice(0, 3)
+        assert layout.live(2) == slice(3, 5)
+
+    @given(st.integers(1, 5000), st.integers(1, 4), st.integers(1, 5))
+    def test_live_extents_tile_the_index_range(self, n, h, D):
+        layout = BlockLayout(n=n, h=h, D=D)
+        spans = [layout.live(J) for J in range(1, layout.B + 1)]
+        sizes = [s.stop - s.start for s in spans]
+        assert sum(sizes) == n
+        assert max(sizes) <= layout.block_size
+        assert spans[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        short = [J for J, k in enumerate(sizes) if k < layout.block_size]
+        assert short == list(range(len(sizes) - len(short), len(sizes)))

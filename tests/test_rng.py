@@ -90,3 +90,24 @@ class TestDistributedNormals:
             cl, "b", "vector", distla.make_layout(50, cl.grid, h=2)))
         assert a.shape == b.shape == (50,)
         assert not np.array_equal(a, b)
+
+    def test_triangular_draw_is_lower_triangular(self, cluster_factory):
+        cl = cluster_factory(3, seed=5)
+        layout = distla.make_layout(7, cl.grid, h=1)  # 2 blocks of 4, padded
+        z = distla.construct_rnorm_distributed(cl, "z", "triangular", layout)
+        got = distla.collect(cl, z)
+        assert np.count_nonzero(np.triu(got, 1)) == 0
+        assert np.count_nonzero(got) == 7 * 8 // 2
+        last = cl.pull("z", cl.grid.coord_to_rank(2, 2)).blocks[(2, 2)]
+        np.testing.assert_array_equal(last[3], [0.0, 0.0, 0.0, 1.0])
+
+    def test_draws_fill_blocks_in_column_major_order(self, cluster_factory):
+        # rows: 2 blocks of 3 with one padded row; the padded draw is dropped
+        cl = cluster_factory(1, seed=5)
+        rows, cols = (distla.make_layout(5, cl.grid, h=2),
+                      distla.make_layout(3, cl.grid, h=1))
+        got = distla.collect(cl, distla.construct_rnorm_distributed(
+            cl, "z", "rectangular", rows, cols))
+        draws = RankStream(5, 1).standard_normals(18)
+        blocks = [draws[k:k + 9].reshape((3, 3), order="F") for k in (0, 9)]
+        np.testing.assert_array_equal(got, np.vstack(blocks)[:5])
