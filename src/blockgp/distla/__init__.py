@@ -1,8 +1,14 @@
-"""Master-side API for the distributed linear-algebra kernels."""
+"""Master-side API for the distributed linear-algebra kernels.
+
+A kernel that writes an object leaves nothing under its output name when it
+fails on any rank, so a half-built result is never mistaken for a whole one.
+"""
+
+from contextlib import suppress
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import BlockGPError, DimensionMismatch
 from ..grid import BlockLayout, default_h
 from . import kernels  # noqa: F401  (registers the worker kernels)
 from .objects import (DistRectangular, DistTriangular, DistVector, LocalPiece,
@@ -30,20 +36,39 @@ def _check_square(L):
         raise DimensionMismatch("expected a distributed triangular matrix")
 
 
+def _run_into(cluster, written, fn_id, **kwargs):
+    """cluster.run for a kernel that writes the object `written`; if it
+    fails, no rank keeps a partial one (nor an input consumed into it)."""
+    try:
+        return cluster.run(fn_id, **kwargs)
+    except BlockGPError:
+        with suppress(BlockGPError):  # the cluster itself may be down
+            cluster.remote_rm(written)
+        raise
+
+
 def construct_distributed(cluster, name, kind, generator, params,
-                          inputs_name=None, row_layout=None, col_layout=None):
-    """Distributed construction from a registered block generator."""
-    cluster.run("distla.construct", name=name, kind=kind, generator=generator,
-                params=np.asarray(params, dtype=float), inputs_name=inputs_name,
-                row_layout=row_layout, col_layout=col_layout)
+                          inputs_name=None, row_layout=None, col_layout=None,
+                          diagonal=False):
+    """Distributed construction from a registered block generator.
+
+    With `diagonal` the object is the vector diagonal of a square matrix
+    generator, evaluated on its diagonal blocks only.
+    """
+    if diagonal and kind != "vector":
+        raise DimensionMismatch("a diagonal is constructed as a vector")
+    _run_into(cluster, name, "distla.construct", name=name, kind=kind,
+              generator=generator, params=np.asarray(params, dtype=float),
+              inputs_name=inputs_name, row_layout=row_layout,
+              col_layout=col_layout, diagonal=diagonal)
     return _handle(kind, name, row_layout, col_layout)
 
 
 def construct_rnorm_distributed(cluster, name, kind, row_layout,
                                 col_layout=None, fill="normal"):
     """Distributed i.i.d. N(0,1) object drawn from per-rank streams."""
-    cluster.run("distla.rnorm", name=name, kind=kind, row_layout=row_layout,
-                col_layout=col_layout, fill=fill)
+    _run_into(cluster, name, "distla.rnorm", name=name, kind=kind,
+              row_layout=row_layout, col_layout=col_layout, fill=fill)
     return _handle(kind, name, row_layout, col_layout)
 
 
@@ -72,7 +97,8 @@ def distributed_cholesky(cluster, tri, out_name):
     Returns (handle to L, per-rank residency stats for the memory check).
     """
     _check_square(tri)
-    stats = cluster.run("distla.cholesky", name=tri.name, out_name=out_name)
+    stats = _run_into(cluster, out_name, "distla.cholesky", name=tri.name,
+                      out_name=out_name)
     return DistTriangular(out_name, tri.layout), stats
 
 
@@ -89,19 +115,25 @@ def _applied(L, rhs, out_name):
 
 
 def triangular_solve(cluster, L, rhs, out_name, side="forward"):
-    """x with L x = b (side="forward") or L^T x = b (side="back")."""
+    """x with L x = b (side="forward") or L^T x = b (side="back").
+
+    With out_name == rhs.name the solve consumes b in place: each block of
+    b is overwritten by its solution, and released, as soon as it is
+    solved, so no second copy of the operand is kept.  Messages and results
+    are those of a solve into a new name.
+    """
     forward = {"forward": True, "back": False}[side]
     out = _applied(L, rhs, out_name)
-    cluster.run("distla.solve", l_name=L.name, rhs_name=rhs.name,
-                out_name=out_name, forward=forward)
+    _run_into(cluster, out_name, "distla.solve", l_name=L.name,
+              rhs_name=rhs.name, out_name=out_name, forward=forward)
     return out
 
 
 def mult_chol(cluster, L, x, out_name):
     """L @ x for a distributed vector or rectangular x."""
     out = _applied(L, x, out_name)
-    cluster.run("distla.mult", l_name=L.name, x_name=x.name,
-                out_name=out_name)
+    _run_into(cluster, out_name, "distla.mult", l_name=L.name, x_name=x.name,
+              out_name=out_name)
     return out
 
 
@@ -109,29 +141,36 @@ def crossprod_mat_vec(cluster, V, u, out_name):
     """V^T u as a distributed vector on V's column layout."""
     if u.layout != V.row_layout:
         raise DimensionMismatch("u layout does not match V's row layout")
-    cluster.run("distla.xprod", v_name=V.name, u_name=u.name,
-                out_name=out_name)
+    _run_into(cluster, out_name, "distla.xprod", v_name=V.name, u_name=u.name,
+              out_name=out_name)
     return DistVector(out_name, V.col_layout)
 
 
-def crossprod_self(cluster, V, out_name):
-    """V^T V (lower storage) on V's column layout."""
-    cluster.run("distla.xprod", v_name=V.name, u_name=V.name,
-                out_name=out_name)
+def crossprod_self(cluster, V, out_name, subtract=False):
+    """V^T V (lower storage) on V's column layout.
+
+    With `subtract`, out_name must already name a triangular object S on
+    V's column layout, and S becomes S - V^T V in place: each result
+    block's accumulator starts from S's block and the partials are
+    subtracted in the same ascending order, with the same messages.
+    """
+    _run_into(cluster, out_name, "distla.xprod", v_name=V.name,
+              u_name=V.name, out_name=out_name, subtract=subtract)
     return DistTriangular(out_name, V.col_layout)
 
 
 def crossprod_self_diag(cluster, V, out_name):
     """diag(V^T V) as a distributed vector."""
-    cluster.run("distla.xprod", v_name=V.name, u_name=None,
-                out_name=out_name)
+    _run_into(cluster, out_name, "distla.xprod", v_name=V.name, u_name=None,
+              out_name=out_name)
     return DistVector(out_name, V.col_layout)
 
 
-def collect(cluster, handle):
+def collect(cluster, handle, release=False):
     """Reassemble the unpadded dense object on the master.
 
-    Triangular objects come back as dense lower-triangular arrays.
+    Triangular objects come back as dense lower-triangular arrays.  With
+    `release` the workers drop the object as they ship it.
     """
     if isinstance(handle, DistTriangular):
         kind, rl, cl = "triangular", handle.layout, handle.layout
@@ -139,7 +178,7 @@ def collect(cluster, handle):
         kind, rl, cl = "rectangular", handle.row_layout, handle.col_layout
     else:
         kind, rl, cl = "vector", handle.layout, None
-    pieces = cluster.run("distla.collect", name=handle.name)
+    pieces = cluster.run("distla.collect", name=handle.name, release=release)
     return assemble(kind, pieces, rl, cl)
 
 

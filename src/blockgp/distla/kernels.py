@@ -14,6 +14,10 @@ L block lives, so the vector block travels ("x" phase), while a rectangular
 operand stays and the L block travels ("col" phase).  Crossproducts V^T U
 run their partials where V's block lives, and U's block travels ("x" or
 "col" by its kind).  Partials travel to the result block's owner ("ps").
+
+A kernel whose output name is also its input's (Cholesky, solves, the
+subtracting crossproduct) overwrites that input block by block instead of
+keeping a second copy.
 """
 
 import numpy as np
@@ -51,9 +55,13 @@ def _store_owned(ctx, name, kind, row_layout, col_layout, values):
 
 @registry.register("distla.construct")
 def construct(ctx, name, kind, generator, params, inputs_name,
-              row_layout, col_layout=None):
+              row_layout, col_layout=None, diagonal=False):
     """Fill owned blocks by calling a block generator once per block with
-    the 1-based global indices of its live rows (and columns)."""
+    the 1-based global indices of its live rows (and columns).
+
+    With `diagonal`, a vector holds the diagonal of a matrix generator,
+    which is called on the diagonal blocks (J, J) only.
+    """
     gen = registry.lookup(generator)
     inputs = ctx.fetch(inputs_name) if inputs_name else None
     params = np.asarray(params, dtype=float)
@@ -66,7 +74,11 @@ def construct(ctx, name, kind, generator, params, inputs_name,
     def values(key):
         if kind == "vector":
             i = indices(key, row_layout)
-            return _generate(ctx, gen, (len(i),), params, inputs, i)
+            if not diagonal:
+                return _generate(ctx, gen, (len(i),), params, inputs, i)
+            ctx.log_event("construct", key, key)
+            return np.diag(_generate(ctx, gen, (len(i), len(i)), params,
+                                     inputs, i, i))
         I, J = key
         i, j = indices(I, row_layout), indices(J, cl)
         ctx.log_event("construct", I, J)
@@ -110,12 +122,7 @@ def cholesky(ctx, name, out_name):
     if out_name != name:
         ctx.store[out_name] = piece
         del ctx.store[name]
-    try:
-        return _cholesky_sweep(ctx, out_name, piece.blocks,
-                               piece.row_layout)
-    except BaseException:
-        ctx.store.pop(out_name, None)  # no partial factor is retained
-        raise
+    return _cholesky_sweep(ctx, out_name, piece.blocks, piece.row_layout)
 
 
 def _cholesky_sweep(ctx, out_name, blocks, lay):
@@ -185,7 +192,11 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
 
 @registry.register("distla.solve")
 def solve(ctx, l_name, rhs_name, out_name, forward=True):
-    """Solve L X = B (forward) or L^T X = B (backward), vector or rectangular B."""
+    """Solve L X = B (forward) or L^T X = B (backward), vector or rectangular B.
+
+    With out_name == rhs_name the solve runs in place: each block of B is
+    overwritten by its solution, and released, as soon as it is solved.
+    """
     _apply_chol(ctx, l_name, rhs_name, out_name,
                 "forward" if forward else "back")
 
@@ -219,7 +230,9 @@ def _apply_chol(ctx, l_name, rhs_name, out_name, op):
     Result block (J, c) takes one partial per off-diagonal (solves) or
     every (mult) L block of its row ("back": its column), accumulated in
     ascending K at the result's owner; a solve's owner then receives L(J, J)
-    per use ("diag") and solves.
+    per use ("diag") and solves.  A solve into its own right-hand side
+    accumulates in B's block itself; the partials only ever multiply
+    blocks that are already solved.
     """
     Lp, Rp = ctx.fetch(l_name), ctx.fetch(rhs_name)
     grid, me = ctx.grid, ctx.coord
@@ -229,7 +242,8 @@ def _apply_chol(ctx, l_name, rhs_name, out_name, op):
     Bc, owner, key, shape, phase = _operand(Rp, grid)
     solving = op != "mult"
     combine = np.subtract if solving else np.add
-    out = {}
+    in_place = solving and out_name == rhs_name
+    out = Rp.blocks if in_place else {}
     x = out if solving else Rp.blocks  # the blocks that partials multiply
     for J in (range(B, 0, -1) if op == "back" else range(1, B + 1)):
         Ks = {"forward": range(1, J), "back": range(J + 1, B + 1),
@@ -241,8 +255,9 @@ def _apply_chol(ctx, l_name, rhs_name, out_name, op):
             if solving and downer == me and towner != me:
                 ctx.send(towner, (out_name, "diag", J, J), Lp.blocks[(J, J)])
             if towner == me:
-                acc = (Rp.blocks[key(J, c)].copy() if solving
-                       else np.zeros(shape))
+                acc = Rp.blocks[key(J, c)] if solving else np.zeros(shape)
+                if solving and not in_place:
+                    acc = acc.copy()
             for K in Ks:
                 Lkey = (K, J) if op == "back" else (J, K)
                 lowner, xowner = block_owner(*Lkey, grid), owner(K, c)
@@ -281,21 +296,31 @@ def _apply_chol(ctx, l_name, rhs_name, out_name, op):
 # crossproducts
 
 @registry.register("distla.xprod")
-def xprod(ctx, v_name, u_name, out_name):
+def xprod(ctx, v_name, u_name, out_name, subtract=False):
     """V^T u (a vector u), V^T V in lower storage (u_name == v_name), or
     diag(V^T V) (u_name None), on V's column layout.
 
     Result block (A, c) takes one partial per row block I, computed where
     V(I, A) lives; the operand block (I, c) travels there per use, and the
-    partials accumulate in ascending I at the result's owner.
+    partials accumulate in ascending I at the result's owner.  With
+    `subtract` (V^T V only), out_name already holds a triangular object S on
+    V's column layout: each accumulator starts from S's block and the
+    partials are subtracted from it, so S becomes S - V^T V in place.
     """
     Vp = ctx.fetch(v_name)
     Up = None if u_name is None else ctx.fetch(u_name)
     grid, me = ctx.grid, ctx.coord
     rlay, clay = Vp.row_layout, Vp.col_layout
     square = u_name == v_name
-    out = (LocalPiece("triangular", clay, clay, {}) if square
-           else LocalPiece("vector", clay, None, {}))
+    if subtract:
+        out = ctx.fetch(out_name)
+        if not square or out.kind != "triangular" or out.row_layout != clay:
+            raise DimensionMismatch("a subtracting crossproduct needs V^T V "
+                                    "and a triangular start on V's columns")
+    else:
+        out = (LocalPiece("triangular", clay, clay, {}) if square
+               else LocalPiece("vector", clay, None, {}))
+    combine = np.subtract if subtract else np.add
     _, towner_of, out_key, out_shape, _ = _operand(out, grid)
     if Up is not None:
         _, owner, key, shape, phase = _operand(Up, grid)
@@ -303,7 +328,9 @@ def xprod(ctx, v_name, u_name, out_name):
         for c in range(1, (A if square else 1) + 1):
             towner = towner_of(A, c)
             ps = (out_name, "ps", A, c)
-            acc = np.zeros(out_shape) if towner == me else None
+            if towner == me:
+                acc = (out.blocks[out_key(A, c)] if subtract
+                       else np.zeros(out_shape))
             for I in range(1, rlay.B + 1):
                 vowner = rect_block_owner(I, A, grid)
                 if Up is not None:
@@ -318,11 +345,11 @@ def xprod(ctx, v_name, u_name, out_name):
                         partial = V.T @ (Up.blocks[key(I, c)] if uowner == me
                                          else ctx.recv(uowner, tag, shape))
                     if towner == me:
-                        acc += partial
+                        combine(acc, partial, out=acc)
                     else:
                         ctx.send(towner, ps, partial)
                 elif towner == me:
-                    acc += ctx.recv(vowner, ps, out_shape)
+                    combine(acc, ctx.recv(vowner, ps, out_shape), out=acc)
             if towner == me:
                 out.blocks[out_key(A, c)] = (np.tril(acc) if square and A == c
                                              else acc)
@@ -361,12 +388,16 @@ def sumsq(ctx, name):
 
 
 @registry.register("distla.collect")
-def collect_blocks(ctx, name, diagonal_only=False):
+def collect_blocks(ctx, name, diagonal_only=False, release=False):
     """Ship owned blocks back to the master, or, with `diagonal_only`, the
-    diagonals of the diagonal blocks as vector blocks."""
+    diagonals of the diagonal blocks as vector blocks.  With `release` the
+    object leaves the store, so its blocks are shipped without a copy."""
     piece = ctx.fetch(name)
+    if release:
+        del ctx.store[name]
     if not diagonal_only:
-        return {k: np.array(v) for k, v in piece.blocks.items()}
+        return {k: v if release else np.array(v)
+                for k, v in piece.blocks.items()}
     return {I: np.diag(block).copy()
             for (I, J), block in piece.blocks.items() if I == J}
 

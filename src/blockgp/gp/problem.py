@@ -4,18 +4,20 @@ A KrigeProblem keeps only metadata and collected small results on the master;
 mean vectors, covariance matrices, Cholesky factors, and solved systems stay
 distributed under a per-problem name prefix.  One state slot records the
 single theta the distributed objects were built for, so repeated calls at
-that theta issue no distributed work at all.
+that theta issue no distributed work beyond fresh random draws.
 """
 
 import logging
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .. import distla
-from ..errors import DimensionMismatch, NonFiniteObjective, NotPositiveDefinite
+from ..errors import (BlockGPError, DimensionMismatch, NonFiniteObjective,
+                      NotPositiveDefinite)
 from .kernels import BUILTIN_KERNELS
 
 log = logging.getLogger(__name__)
@@ -74,9 +76,16 @@ class OptResult:
 class KrigeProblem:
     """Master-side metadata and drivers for one GP regression problem.
 
-    The workers hold one copy of each derived object (C, L, u, V, ...) under
-    a fixed name, and `_state` is the one slot saying which theta they were
-    built for, with what was collected from them (`ll`, then `pred_mean`).
+    The workers hold the derived objects of one theta under fixed names,
+    and `_state` is the one slot saying which theta that is and how far it
+    has been built, with what was collected from the workers:
+      - "ll": L, mu and u exist (any successful call);
+      - "pred_mean": V exists too (predict, prediction_variance, simulate);
+      - "se2": the prediction variances, kept on the master;
+      - "LSigma": the posterior factor LSigma exists too.
+    Besides these only `inputs` and `y` stay on the workers: C, the
+    cross-covariance and Sigma are consumed in place by the objects built
+    from them, and every other result is released as it is collected.
     """
 
     def __init__(self, cluster, name, spec, y, theta0, m=0,
@@ -123,10 +132,37 @@ class KrigeProblem:
             raise DimensionMismatch("theta entries must be finite and positive")
         return theta
 
-    def _construct(self, suffix, kind, generator, theta, rows, cols=None):
+    def _check_grid(self):
+        if self.m <= 0:
+            raise DimensionMismatch("problem has no prediction points")
+
+    def _construct(self, suffix, kind, generator, theta, rows, cols=None,
+                   diagonal=False):
         return distla.construct_distributed(
             self.cluster, self._nm(suffix), kind, generator, theta,
-            inputs_name=self._nm("inputs"), row_layout=rows, col_layout=cols)
+            inputs_name=self._nm("inputs"), row_layout=rows, col_layout=cols,
+            diagonal=diagonal)
+
+    def _remove(self, keep=()):
+        """Remove this problem's objects, except `keep`, from every worker."""
+        keep = {self._nm(suffix) for suffix in keep}
+        names = {obj for rank in range(1, self.cluster.P + 1)
+                 for obj in self.cluster.remote_ls(rank)
+                 if obj.startswith(self._nm("")) and obj not in keep}
+        if names:
+            self.cluster.remote_rm(sorted(names))
+
+    @contextmanager
+    def _clean_failure(self):
+        """A failed call leaves no theta current and no derived object on
+        the workers, so nothing half-built is reused or left behind."""
+        try:
+            yield
+        except BlockGPError:
+            self._state = {}
+            with suppress(BlockGPError):  # the cluster itself may be down
+                self._remove(keep=("inputs", "y"))
+            raise
 
     # -- the state slot ----------------------------------------------------
     def _ensure_chol(self, theta):
@@ -134,16 +170,19 @@ class KrigeProblem:
         fp = theta.tobytes()
         if self._state.get("fp") == fp:
             return self._state
-        self._state = {}  # the worker objects are about to be overwritten
+        if "pred_mean" in self._state:
+            # the old theta's m-sized objects go before any new one is built;
+            # L, mu and u are overwritten as they are rebuilt
+            self.cluster.remote_rm([self._V.name, self._nm("LSigma")])
+        self._state = {}
         cov = self._construct("C", "triangular", self.spec.cov_fn, theta,
                               self.row_layout)
         self._construct("mu", "vector", self.spec.mean_fn, theta,
                         self.row_layout)
         distla.distributed_cholesky(self.cluster, cov, self._L.name)
         self.cluster.remote_apply("sub", [self._y.name, self._mu.name],
-                                  self._nm("resid"))
-        resid = distla.DistVector(self._nm("resid"), self.row_layout)
-        distla.triangular_solve(self.cluster, self._L, resid, self._u.name,
+                                  self._u.name)
+        distla.triangular_solve(self.cluster, self._L, self._u, self._u.name,
                                 side="forward")
         logdet = distla.log_det_from_chol(self.cluster, self._L)
         ssq = distla.sum_squares(self.cluster, self._u)
@@ -153,12 +192,10 @@ class KrigeProblem:
 
     def _ensure_prediction_basis(self, theta):
         """V = L^{-1} C_cross and the predicted mean, built for theta."""
-        if self.m <= 0:
-            raise DimensionMismatch("problem has no prediction points")
         state = self._ensure_chol(theta)
         if "pred_mean" in state:
             return state
-        cross = self._construct("Cx", "rectangular", self.spec.cross_cov_fn,
+        cross = self._construct("V", "rectangular", self.spec.cross_cov_fn,
                                 theta, self.row_layout, self.col_layout)
         distla.triangular_solve(self.cluster, self._L, cross, self._V.name,
                                 side="forward")
@@ -166,15 +203,38 @@ class KrigeProblem:
                                   theta, self.col_layout)
         w = distla.crossprod_mat_vec(self.cluster, self._V, self._u,
                                      self._nm("w"))
-        state["pred_mean"] = (distla.collect(self.cluster, mu_pred)
-                              + distla.collect(self.cluster, w))
+        state["pred_mean"] = (distla.collect(self.cluster, mu_pred, True)
+                              + distla.collect(self.cluster, w, True))
         return state
+
+    def _ensure_posterior_factor(self, theta):
+        """LSigma, the Cholesky factor of Sigma*, built for theta."""
+        state = self._ensure_prediction_basis(theta)
+        if "LSigma" in state:
+            return state
+        sigma = self._posterior_cov(theta)
+        try:
+            state["LSigma"], _ = distla.distributed_cholesky(
+                self.cluster, sigma, self._nm("LSigma"))
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                exc.block_index,
+                "posterior covariance not numerically PD") from exc
+        return state
+
+    def _posterior_cov(self, theta):
+        """Sigma* = C_pred - V^T V, built inside C_pred's blocks."""
+        sigma = self._construct("Sigma", "triangular", self.spec.pred_cov_fn,
+                                theta, self.col_layout)
+        return distla.crossprod_self(self.cluster, self._V, sigma.name,
+                                     subtract=True)
 
     # -- public API --------------------------------------------------------
     def log_density(self, theta=None):
         """Gaussian log likelihood at theta (defaults to the current vector)."""
         theta = self.theta if theta is None else self._check_theta(theta)
-        ll = self._ensure_chol(theta)["ll"]
+        with self._clean_failure():
+            ll = self._ensure_chol(theta)["ll"]
         self.theta = theta
         return ll
 
@@ -182,11 +242,7 @@ class KrigeProblem:
         """Remove this problem's `name.*` objects from every worker; a later
         call then fails on the missing inputs instead of reusing a result."""
         self._state = {}
-        names = {obj for rank in range(1, self.cluster.P + 1)
-                 for obj in self.cluster.remote_ls(rank)
-                 if obj.startswith(self._nm(""))}
-        for obj in sorted(names):
-            self.cluster.remote_rm(obj)
+        self._remove()
 
     def optimize_log_dens(self, theta0=None, max_evals=500, xatol=1e-6):
         """Maximize the log density with Nelder-Mead on log-transformed theta.
@@ -226,40 +282,42 @@ class KrigeProblem:
 
     def predict(self, se_fit=False):
         """Kriging means at the prediction points (and standard errors)."""
-        mean = self._ensure_prediction_basis(self.theta)["pred_mean"].copy()
+        self._check_grid()
+        with self._clean_failure():
+            state = self._ensure_prediction_basis(self.theta)
+            if se_fit and "se2" not in state:
+                state["se2"] = self._prediction_variances()
         if not se_fit:
-            return mean
-        if self.spec.pred_var_fn is not None:
-            pv = self._construct("pv", "vector", self.spec.pred_var_fn,
+            return state["pred_mean"].copy()
+        return state["pred_mean"].copy(), np.sqrt(state["se2"])
+
+    def _prediction_variances(self):
+        """diag(C_pred) - diag(V^T V), clamped at zero.  Without pred_var_fn
+        the prediction covariance is evaluated on its diagonal blocks only."""
+        spec = self.spec
+        if spec.pred_var_fn is not None:
+            pv = self._construct("pv", "vector", spec.pred_var_fn,
                                  self.theta, self.col_layout)
-            prior_var = distla.collect(self.cluster, pv)
         else:
-            cp = self._construct("Cp", "triangular", self.spec.pred_cov_fn,
-                                 self.theta, self.col_layout)
-            prior_var = distla.collect_diagonal(self.cluster, cp)
+            pv = self._construct("pv", "vector", spec.pred_cov_fn,
+                                 self.theta, self.col_layout, diagonal=True)
+        prior_var = distla.collect(self.cluster, pv, True)
         vtv = distla.crossprod_self_diag(self.cluster, self._V,
                                          self._nm("vtv_diag"))
-        se2 = prior_var - distla.collect(self.cluster, vtv)
+        se2 = prior_var - distla.collect(self.cluster, vtv, True)
         if np.any(se2 < 0):
             warnings.warn("negative prediction variances clamped to zero "
-                          "(round-off)", stacklevel=2)
+                          "(round-off)", stacklevel=3)
             se2 = np.maximum(se2, 0.0)
-        return mean, np.sqrt(se2)
-
-    def _posterior_cov_distributed(self, theta):
-        """Sigma* = C_pred - V^T V as a distributed triangular matrix."""
-        self._ensure_prediction_basis(theta)
-        self._construct("Cp", "triangular", self.spec.pred_cov_fn, theta,
-                        self.col_layout)
-        distla.crossprod_self(self.cluster, self._V, self._nm("VtV"))
-        self.cluster.remote_apply("sub", [self._nm("Cp"), self._nm("VtV")],
-                                  self._nm("Sigma"))
-        return distla.DistTriangular(self._nm("Sigma"), self.col_layout)
+        return se2
 
     def prediction_variance(self):
         """Full posterior covariance at the prediction points (dense, symmetric)."""
-        sigma = self._posterior_cov_distributed(self.theta)
-        lower = distla.collect(self.cluster, sigma)
+        self._check_grid()
+        with self._clean_failure():
+            self._ensure_prediction_basis(self.theta)
+            sigma = self._posterior_cov(self.theta)
+            lower = distla.collect(self.cluster, sigma, True)
         return lower + np.tril(lower, -1).T
 
     def simulate_realizations(self, r, post=True, zero_noise=False):
@@ -272,25 +330,18 @@ class KrigeProblem:
         """
         fill = "zeros" if zero_noise else "normal"
         r_layout = distla.make_layout(int(r), self.cluster.grid, self.h_r)
-        if not post:
-            self._ensure_chol(self.theta)
+        if post:
+            self._check_grid()
+        with self._clean_failure():
+            if post:
+                state = self._ensure_posterior_factor(self.theta)
+                factor, base = state["LSigma"], state["pred_mean"]
+            else:
+                self._ensure_chol(self.theta)
+                factor = self._L
+                base = distla.collect(self.cluster, self._mu)
             z = distla.construct_rnorm_distributed(
-                self.cluster, self._nm("Z"), "rectangular",
-                self.row_layout, r_layout, fill=fill)
-            lz = distla.mult_chol(self.cluster, self._L, z, self._nm("LZ"))
-            base = distla.collect(self.cluster, self._mu)
-            return base[:, None] + distla.collect(self.cluster, lz)
-        mean = self._ensure_prediction_basis(self.theta)["pred_mean"]
-        sigma = self._posterior_cov_distributed(self.theta)
-        try:
-            l_sigma, _ = distla.distributed_cholesky(self.cluster, sigma,
-                                                     self._nm("LSigma"))
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                exc.block_index,
-                "posterior covariance not numerically PD") from exc
-        z = distla.construct_rnorm_distributed(
-            self.cluster, self._nm("Zp"), "rectangular",
-            self.col_layout, r_layout, fill=fill)
-        lz = distla.mult_chol(self.cluster, l_sigma, z, self._nm("LSZ"))
-        return mean[:, None] + distla.collect(self.cluster, lz)
+                self.cluster, self._nm("Z"), "rectangular", factor.layout,
+                r_layout, fill=fill)
+            lz = distla.mult_chol(self.cluster, factor, z, z.name)
+            return base[:, None] + distla.collect(self.cluster, lz, True)

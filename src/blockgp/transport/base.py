@@ -161,7 +161,8 @@ class WorkerCore:
             if op == "ls":
                 return ("ok", sorted(self.ctx.store))
             if op == "rm":
-                self.ctx.store.pop(cmd[1], None)  # idempotent
+                for name in cmd[1]:
+                    self.ctx.store.pop(name, None)  # idempotent
                 return ("ok", None)
             if op == "events":
                 out, self.ctx.events = self.ctx.events, []
@@ -265,8 +266,12 @@ class Cluster:
     def remote_ls(self, rank):
         return self._gather([rank], ("ls",))[0]
 
-    def remote_rm(self, name, targets=None):
-        self._gather(targets or self._all(), ("rm", name))
+    def remote_rm(self, names, targets=None):
+        """Remove one name, or a list of names, from each target in one
+        dispatch; absent names are fine."""
+        if isinstance(names, str):
+            names = [names]
+        self._gather(targets or self._all(), ("rm", list(names)))
 
     def remote_apply(self, fn_id, input_names, output_name):
         """output = fn(inputs...) on each worker's local pieces."""

@@ -132,6 +132,25 @@ class TestConstruct:
         np.testing.assert_array_equal(A[10:, :10], 0.0)
         np.testing.assert_array_equal(A[10:, 10:], np.eye(2))
 
+    @pytest.mark.parametrize("P,h", [(1, 2), (3, 2), (6, 1)])
+    def test_diagonal_only_matches_full_diagonal(self, cluster_factory, P, h):
+        cl = cluster_factory(P)
+        layout = _layout(cl, 11, h)  # padded for every h here
+        cl.set_events(True)
+        d = distla.construct_distributed(cl, "d", "vector", "test.full_block",
+                                         [], row_layout=layout, diagonal=True)
+        assert sorted((I, J) for _, _, _, I, J in cl.drain_events()) == \
+            [(J, J) for J in range(1, layout.B + 1)]
+        t = distla.construct_distributed(cl, "A", "triangular",
+                                         "test.full_block", [],
+                                         row_layout=layout)
+        np.testing.assert_array_equal(distla.collect(cl, d),
+                                      distla.collect_diagonal(cl, t))
+        with pytest.raises(DimensionMismatch):
+            distla.construct_distributed(cl, "A", "triangular",
+                                         "test.full_block", [],
+                                         row_layout=layout, diagonal=True)
+
     def test_wrong_block_shape_names_the_rank(self, cluster_factory):
         cl = cluster_factory(3)
         layout = _layout(cl, 10, 2)
@@ -211,6 +230,15 @@ class TestDistributeCollect:
         d = distla.distribute(cl, "I", np.eye(7), "triangular", layout)
         np.testing.assert_array_equal(distla.collect_diagonal(cl, d),
                                       np.ones(7))
+
+    def test_release_drops_the_object(self, cluster_factory):
+        cl = cluster_factory(3)
+        V = np.random.default_rng(4).standard_normal((9, 5))
+        rows, cols = _layout(cl, 9, 2), _layout(cl, 5, 1)
+        d = distla.distribute(cl, "V", V, "rectangular", rows, cols)
+        np.testing.assert_array_equal(distla.collect(cl, d, release=True), V)
+        for rank in range(1, 4):
+            assert "V" not in cl.remote_ls(rank)
 
     def test_vector_length_mismatch(self, cluster_factory):
         cl = cluster_factory(3)
@@ -386,6 +414,41 @@ class TestTriangularSolves:
                 else np.linalg.solve(Ls.T, R))
         assert relerr(distla.collect(cl, X), want) <= 1e-10
 
+    @pytest.mark.parametrize("side", ["forward", "back"])
+    @pytest.mark.parametrize("kind", ["vector", "rectangular"])
+    def test_in_place_solve_matches_solve_into_new_name(
+            self, cluster_factory, side, kind):
+        cl = cluster_factory(3)
+        n, m = 23, 5
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal(n if kind == "vector" else (n, m))
+        rows, cols = _layout(cl, n, 2), _layout(cl, m, 2)
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=8), "triangular",
+                              rows)
+        L, _ = distla.distributed_cholesky(cl, C, "L")
+        Bd = distla.distribute(cl, "B", B, kind, rows, cols)
+        want = distla.collect(cl, distla.triangular_solve(cl, L, Bd, "X",
+                                                          side=side))
+        stores = [w.core.ctx.store for w in cl._workers.values()]
+        held = [store["B"].blocks for store in stores]
+        got = distla.triangular_solve(cl, L, Bd, "B", side=side)
+        assert got.name == "B"
+        np.testing.assert_array_equal(distla.collect(cl, got), want)
+        # the solution was written into B's own block table
+        assert all(store["B"].blocks is blocks
+                   for store, blocks in zip(stores, held))
+
+    def test_failed_in_place_solve_drops_the_operand(self, cluster_factory):
+        cl = cluster_factory(3)
+        layout = _layout(cl, 4, 1)
+        L = distla.distribute(cl, "L", np.diag([1.0, 1.0, 0.0, 1.0]),
+                              "triangular", layout)
+        b = distla.distribute(cl, "b", np.ones(4), "vector", layout)
+        with pytest.raises(SingularDiagonal):
+            distla.triangular_solve(cl, L, b, "b", side="forward")
+        for rank in range(1, 4):
+            assert "b" not in cl.remote_ls(rank)
+
     def test_singular_diagonal_detected(self, cluster_factory):
         cl = cluster_factory(1)
         layout = _layout(cl, 2, 1)
@@ -497,6 +560,38 @@ class TestCrossproducts:
         assert relerr(distla.collect(cl, d), np.diag(V0.T @ V0)) <= 1e-12
 
 
+    @pytest.mark.parametrize("P,h", [(1, 1), (3, 2), (6, 1)])
+    def test_subtracting_crossprod_builds_in_place(self, cluster_factory, P,
+                                                   h):
+        cl = cluster_factory(P)
+        n, m = 25, 7  # both padded for every h here
+        rng = np.random.default_rng(12)
+        V0 = 0.3 * rng.standard_normal((n, m))
+        S0 = spd_matrix(m, seed=12) + V0.T @ V0
+        rows, cols = _layout(cl, n, h), _layout(cl, m, h)
+        V = distla.distribute(cl, "V", V0, "rectangular", rows, cols)
+        distla.distribute(cl, "S", S0, "triangular", cols)
+        S = distla.crossprod_self(cl, V, "S", subtract=True)
+        want = np.tril(S0 - V0.T @ V0)
+        assert relerr(distla.collect(cl, S), want) <= 1e-12
+        padded = _padded_triangular(cl, "S", cols)
+        np.testing.assert_array_equal(padded[m:, m:], np.eye(cols.padded_n - m))
+        np.testing.assert_array_equal(np.triu(padded, 1), 0.0)
+        L, _ = distla.distributed_cholesky(cl, S, "LS")
+        full = want + np.tril(want, -1).T
+        assert relerr(distla.collect(cl, L), np.linalg.cholesky(full)) <= 1e-10
+
+    def test_subtracting_crossprod_needs_a_conforming_start(
+            self, cluster_factory):
+        cl = cluster_factory(3)
+        rows, cols = _layout(cl, 6, 1), _layout(cl, 4, 1)
+        V = distla.distribute(cl, "V", np.ones((6, 4)), "rectangular",
+                              rows, cols)
+        distla.distribute(cl, "S", np.eye(6), "triangular", rows)
+        with pytest.raises(DimensionMismatch):
+            distla.crossprod_self(cl, V, "S", subtract=True)
+
+
 class TestScalars:
     def test_logdet_identity_is_zero(self, cluster_factory):
         cl = cluster_factory(3)
@@ -573,6 +668,7 @@ class TestSchedules:
         "xprod_mat_vec": {"ps": (8, 128), "x": (8, 256)},
         "xprod_self": {"col": (16, 1024), "ps": (20, 640)},
         "xprod_self_diag": {"ps": (8, 128)},
+        "xprod_self_sub": {"col": (16, 1024), "ps": (20, 640)},
     }
 
     def test_per_kernel_traffic_is_pinned(self, cluster_factory, monkeypatch):
@@ -618,4 +714,6 @@ class TestSchedules:
         got["xprod_self"] = traffic(lambda: distla.crossprod_self(cl, R, "S"))
         got["xprod_self_diag"] = traffic(
             lambda: distla.crossprod_self_diag(cl, R, "d"))
+        got["xprod_self_sub"] = traffic(
+            lambda: distla.crossprod_self(cl, R, "S", subtract=True))
         assert got == self.TRAFFIC

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, rule,
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
                                  run_state_machine_as_test)
 
 from blockgp import registry, spawn
+from blockgp.distla import LocalPiece
 from blockgp.errors import (BlockGPError, DimensionMismatch,
                             NotPositiveDefinite, UnsupportedSmoothness)
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
@@ -45,6 +46,17 @@ def _negated_above_five(params, inputs, i, j):
     theta[0] > 5."""
     k = registry.lookup("gen.matern-nugget.cov")(params, inputs, i, j)
     return -k if params[0] > 5 else k
+
+
+_PRED_CALLS = []
+
+
+@registry.register("test.counted.pred")
+def _counted_pred(params, inputs, i, j):
+    """The built-in matern-nugget prediction covariance, recording the
+    shape of every block it is asked for."""
+    _PRED_CALLS.append((len(i), len(j)))
+    return registry.lookup("gen.matern-nugget.pred")(params, inputs, i, j)
 
 
 def _small_problem(cl, name="t"):
@@ -241,6 +253,78 @@ class TestFreshness:
             _small_problem(cl, name="again").log_density(THETAS["B"])
 
 
+def _live_bytes(cluster):
+    """Bytes of every array in the in-process workers' stores."""
+    total = 0
+    for worker in cluster._workers.values():
+        for obj in worker.core.ctx.store.values():
+            arrays = (obj.blocks.values() if isinstance(obj, LocalPiece)
+                      else obj.values())
+            total += sum(a.nbytes for a in arrays
+                         if isinstance(a, np.ndarray))
+    return total
+
+
+class TestResidency:
+    """After each public call the workers hold exactly the documented live
+    set: inputs and y; L, mu and u once a theta is current; V once
+    predicted; LSigma once conditionally simulated.  C, the
+    cross-covariance and Sigma are consumed in place, and everything else
+    is released as it is collected."""
+
+    def _names(self, cl, name="t"):
+        per_rank = [{nm[len(name) + 1:] for nm in cl.remote_ls(rank)
+                     if nm.startswith(name + ".")}
+                    for rank in range(1, cl.P + 1)]
+        assert all(names == per_rank[0] for names in per_rank)
+        return per_rank[0]
+
+    def test_live_set_after_each_call(self, cluster_factory):
+        cl = cluster_factory(3)
+        prob = _small_problem(cl)
+        base, chol = {"inputs", "y"}, {"inputs", "y", "L", "mu", "u"}
+        steps = [
+            ("log_density", lambda: prob.log_density(), chol),
+            ("predict", lambda: prob.predict(), chol | {"V"}),
+            ("predict se", lambda: prob.predict(se_fit=True), chol | {"V"}),
+            ("prediction_variance", prob.prediction_variance, chol | {"V"}),
+            ("simulate", lambda: prob.simulate_realizations(2),
+             chol | {"V", "LSigma"}),
+            ("simulate again", lambda: prob.simulate_realizations(2),
+             chol | {"V", "LSigma"}),
+            ("unconditional", lambda: prob.simulate_realizations(2, False),
+             chol | {"V", "LSigma"}),
+            ("new theta", lambda: prob.log_density(THETAS["B"]), chol),
+            ("simulate at B", lambda: prob.simulate_realizations(2),
+             chol | {"V", "LSigma"}),
+            ("failed theta", lambda: _outcome(
+                lambda: prob.log_density(THETAS["bad"])), base),
+            ("unconditional at B", lambda: prob.simulate_realizations(2, False),
+             chol),
+            ("close", prob.close, set()),
+        ]
+        for what, call, want in steps:
+            call()
+            assert self._names(cl) == want, what
+
+    def test_live_bytes_after_predict_and_simulate(self, cluster_factory):
+        # the predict-sim benchmark's problem: L + V + LSigma is 33.4 MB,
+        # and keeping the cross- and prediction covariances and V^T V
+        # beside them would make 84.4 MB
+        cl = cluster_factory(3, seed=1)
+        rng = np.random.default_rng(1)
+        spec = builtin_spec("matern-nugget", rng.uniform(0, 10, (800, 2)),
+                            rng.uniform(0, 10, (2000, 2)))
+        prob = KrigeProblem(cl, "t", spec, rng.standard_normal(800),
+                            [1.0, 2.0, 0.1], m=2000, h_n=2, h_m=6)
+        prob.log_density()
+        prob.predict(se_fit=True)
+        prob.simulate_realizations(100)
+        assert _live_bytes(cl) <= 40e6
+        assert self._names(cl) == {"inputs", "y", "L", "mu", "u", "V",
+                                   "LSigma"}
+
+
 def _outcome(fn):
     """fn()'s result, or the type of the package error it raised."""
     try:
@@ -277,6 +361,19 @@ def _assert_same(got, want):
         np.testing.assert_array_equal(got, want)
 
 
+def _live_set(prob):
+    """The documented worker objects of a problem in its current state."""
+    state = prob._state
+    suffixes = {"inputs", "y"}
+    if "ll" in state:
+        suffixes |= {"L", "mu", "u"}
+    if "pred_mean" in state:
+        suffixes.add("V")
+    if "LSigma" in state:
+        suffixes.add("LSigma")
+    return {f"{prob.name}.{suffix}" for suffix in suffixes}
+
+
 class KrigeMachine(RuleBasedStateMachine):
     """Random call sequences on one problem, each result checked bit for bit
     against a fresh problem at the same theta."""
@@ -285,19 +382,37 @@ class KrigeMachine(RuleBasedStateMachine):
         super().__init__()
         self.cluster = spawn(3, seed=5)
         self.prob = _small_problem(self.cluster)
+        self.issued = []
+        run = self.cluster.run
+
+        def recorded(fn_id, **kwargs):
+            self.issued.append(fn_id)
+            return run(fn_id, **kwargs)
+        self.cluster.run = recorded
 
     def teardown(self):
         self.cluster.shutdown()
 
-    def check(self, call, theta, op, *args, repeat_free=False):
+    def check(self, call, theta, op, *args, repeat_free=False,
+              repeat_issues=None):
         """call() returns what a fresh problem at theta returns for op(*args);
-        with repeat_free, calling it again issues no collectives."""
+        calling it again issues exactly the collectives `repeat_issues`
+        (none with repeat_free)."""
         got = _outcome(call)
         _assert_same(got, _oracle(theta, op, *args))
-        if repeat_free and not isinstance(got, type):
-            before = self.cluster.stats["collectives"]
+        if repeat_free:
+            repeat_issues = []
+        if repeat_issues is not None and not isinstance(got, type):
+            self.issued.clear()
             _assert_same(call(), got)
-            assert self.cluster.stats["collectives"] == before
+            assert self.issued == list(repeat_issues)
+
+    @invariant()
+    def workers_hold_the_live_set(self):
+        for rank in range(1, 4):
+            names = {nm for nm in self.cluster.remote_ls(rank)
+                     if nm.startswith("t.")}
+            assert names == _live_set(self.prob)
 
     @rule(k=st.sampled_from(["A", "B"]))
     def log_density(self, k):
@@ -321,6 +436,19 @@ class KrigeMachine(RuleBasedStateMachine):
         for post in (True, False):
             self.check(lambda: self.prob.simulate_realizations(3, post, True),
                        self.prob.theta, "simulate_realizations", 3, post, True)
+
+    @rule()
+    def predict_repeat(self):
+        self.check(lambda: self.prob.predict(se_fit=True), self.prob.theta,
+                   "predict", True, repeat_free=True)
+
+    @rule()
+    def simulate_repeat(self):
+        # a repeat at one theta only draws: LSigma is kept for the theta
+        self.check(lambda: self.prob.simulate_realizations(3, True, True),
+                   self.prob.theta, "simulate_realizations", 3, True, True,
+                   repeat_issues=["distla.rnorm", "distla.mult",
+                                  "distla.collect"])
 
     @rule()
     def optimize(self):
@@ -475,6 +603,29 @@ class TestPredict:
             got.append(prob.predict(se_fit=True))
         for a, b in zip(*got):
             np.testing.assert_array_equal(a, b)
+        for rank in range(1, 4):  # no m x m prediction covariance was kept
+            assert not [nm for nm in cl.remote_ls(rank)
+                        if nm.endswith(".Cp")]
+
+    def test_prior_variance_evaluates_diagonal_blocks_only(
+            self, cluster_factory):
+        cl = cluster_factory(3)
+        rng = np.random.default_rng(15)
+        coords = np.sort(rng.uniform(0, 10, 17))
+        pred = np.linspace(0.5, 9.5, 13)
+        spec = dataclasses.replace(
+            builtin_spec("matern-nugget", coords, pred),
+            pred_cov_fn="test.counted.pred", pred_var_fn=None)
+        prob = KrigeProblem(cl, "d", spec, rng.standard_normal(17),
+                            [1.5, 2.0, 0.1], m=13, h_n=2, h_m=2, h_r=1)
+        prob.predict()
+        _PRED_CALLS.clear()
+        prob.predict(se_fit=True)
+        layout = prob.col_layout
+        assert sorted(_PRED_CALLS) == sorted(
+            (k.stop - k.start,) * 2 for k in map(layout.live,
+                                                 range(1, layout.B + 1)))
+        assert sum(a * b for a, b in _PRED_CALLS) <= 13 * layout.block_size
 
     def test_predict_without_grid_rejected(self, cluster_factory):
         cl = cluster_factory(1)

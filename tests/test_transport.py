@@ -70,6 +70,16 @@ class TestObjectStore:
         with pytest.raises(NoSuchObject):
             cl.pull("x", 1)
 
+    def test_rm_takes_a_list_in_one_dispatch(self, cluster_factory):
+        cl = cluster_factory(3)
+        for name in ("a", "b", "c"):
+            cl.push(name, 1.0)
+        dispatch, sent = cl._dispatch, []
+        cl._dispatch = lambda cmds: sent.append(cmds) or dispatch(cmds)
+        cl.remote_rm(["a", "b", "absent"])
+        assert len(sent) == 1
+        assert cl.remote_ls(2) == [RUNTIME_OBJECT, "c"]
+
     def test_push_to_subset(self, cluster_factory):
         cl = cluster_factory(3)
         cl.push("x", 1.0, targets=[2])
@@ -237,12 +247,20 @@ def _exercise(cl):
     w = distla.crossprod_mat_vec(cl, W, u, "w")
     z = distla.construct_rnorm_distributed(cl, "z", "vector", rows)
     lz = distla.mult_chol(cl, L, z, "lz")
+    # in place: a solve into its own right-hand side, and Sigma = Cp - W^T W
+    # built inside Cp's blocks
+    Xd = distla.distribute(cl, "X", V0, "rectangular", rows, cols)
+    X = distla.triangular_solve(cl, L, Xd, "X", side="back")
+    distla.distribute(cl, "Sigma", spd_matrix(m, seed=3), "triangular", cols)
+    Sigma = distla.crossprod_self(cl, W, "Sigma", subtract=True)
     return {
         "L": distla.collect(cl, L),
         "x": distla.collect(cl, x),
         "S": distla.collect(cl, S),
         "w": distla.collect(cl, w),
         "lz": distla.collect(cl, lz),
+        "X": distla.collect(cl, X),
+        "Sigma": distla.collect(cl, Sigma),
         "logdet": distla.log_det_from_chol(cl, L),
         "ssq": distla.sum_squares(cl, u),
     }
