@@ -1,7 +1,7 @@
 """Driving batch jobs through the command-line interface.
 
 Builds a config file plus CSV data in a scratch directory and runs the
-loglik, fit, predict, and bench-chol commands end to end.
+loglik, fit, and predict commands end to end.
 
 Run: python demos/04_cli_job.py
 """
@@ -54,8 +54,4 @@ theta = ",".join(repr(t) for t in doc["theta"])
 cli.main(["predict", str(work / "job.cfg"), f"theta0={theta}",
           f"out={work / 'pred.csv'}", "se_fit=true"])
 
-print("\n--- bench-chol: factorization timing sweep ---")
-cli.main(["bench-chol", str(work / "job.cfg"),
-          "bench_n=256", "bench_p=1,3", "bench_h=1,2",
-          f"out={work / 'bench.csv'}"])
 print(f"\nArtifacts: {sorted(p.name for p in work.iterdir())}")

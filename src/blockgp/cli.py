@@ -6,8 +6,6 @@ One job per invocation; this process is the cluster master.  Commands:
   fit         maximize the likelihood, write theta-hat and the trace as JSON
   predict     write kriging means (and standard errors) as CSV
   simulate    write r realizations (conditional or unconditional) as CSV
-  bench-chol  factor synthetic SPD matrices over a (n, P, h) sweep, write
-              a timing CSV with columns n, P, h, seconds, residual
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (the
 offending theta is echoed), 4 worker crash or backend failure.
@@ -17,11 +15,9 @@ import argparse
 import csv
 import json
 import sys
-import time
 
 import numpy as np
 
-from . import distla
 from .errors import (BackendUnavailable, ClusterDown, ConfigError,
                      NonFiniteObjective, NotPositiveDefinite,
                      NotTriangularNumber, SingularDiagonal, WorkerFailure)
@@ -40,14 +36,11 @@ Config file format: one `key = value` per line; `#` starts a comment.
   nu, nu1, nu2  Matern smoothness in {0.5, 1.5, 2.5} where the kernel uses it
   data          CSV of observations: input columns then a "y" column
   pred_grid     CSV of prediction points: the same input columns, no "y"
-  out           output file (fit/predict/simulate/bench-chol)
+  out           output file (fit/predict/simulate)
   se_fit        predict: also write standard errors (true/false, default false)
   r             simulate: number of realizations (default 100)
   post          simulate: conditional on the data (true/false, default true)
   max_evals     fit: optimizer evaluation budget (default 500)
-  bench_n       bench-chol: comma list of matrix sizes (default 512,1024)
-  bench_p       bench-chol: comma list of worker counts (default 1,3,6)
-  bench_h       bench-chol: comma list of h values (default 1,2,3)
   blas_threads  socket backend only: BLAS threads per worker process
 """ % ", ".join(sorted(BUILTIN_KERNELS))
 
@@ -112,10 +105,6 @@ class _Config:
         return self._get(
             key, lambda s: [float(x) for x in s.split(",")], default)
 
-    def ints(self, key, default=...):
-        return self._get(
-            key, lambda s: [int(x) for x in s.split(",")], default)
-
 
 def read_csv_table(path, require_y):
     """Load a headered CSV; returns (coords, y) with y=None for grids."""
@@ -154,8 +143,7 @@ def write_csv(path, header, rows):
         w = csv.writer(f)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, int) else repr(float(v))
-                        for v in row])
+            w.writerow([repr(float(v)) for v in row])
 
 
 def _spawn(cfg):
@@ -227,46 +215,11 @@ def cmd_simulate(cluster, cfg):
     print(f"simulate wrote {sims.shape[0]}x{sims.shape[1]} to {cfg.str('out')}")
 
 
-def cmd_bench_chol(cluster, cfg):
-    """Time the distributed factorization of A = B B^T + n I per (n, P, h)."""
-    ns = cfg.ints("bench_n", [512, 1024])
-    ps = cfg.ints("bench_p", [1, 3, 6])
-    hs = cfg.ints("bench_h", [1, 2, 3])
-    seed = cfg.int("seed", 0)
-    backend = cfg.str("backend", "in-process")
-    rows = []
-    for n in ns:
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((n, n))
-        A = B @ B.T + n * np.eye(n)
-        serial_scale = np.linalg.norm(A)
-        for P in ps:
-            cl = spawn(P, backend=backend, seed=seed,
-                       blas_threads=cfg.int("blas_threads", None))
-            try:
-                for h in hs:
-                    layout = distla.make_layout(n, cl.grid, h)
-                    C = distla.distribute(cl, "bench.C", A, "triangular",
-                                          layout)
-                    t0 = time.perf_counter()
-                    L, _ = distla.distributed_cholesky(cl, C, "bench.L")
-                    seconds = time.perf_counter() - t0
-                    Lfull = distla.collect(cl, L)
-                    resid = np.linalg.norm(Lfull @ Lfull.T - A) / serial_scale
-                    rows.append((n, P, h, seconds, resid))
-                    print(f"bench-chol n={n} P={P} h={h} "
-                          f"seconds={seconds:.4f} residual={resid:.3e}")
-            finally:
-                cl.shutdown()
-    write_csv(cfg.str("out"), ["n", "P", "h", "seconds", "residual"], rows)
-
-
 COMMANDS = {
-    "loglik": (cmd_loglik, False),
-    "fit": (cmd_fit, False),
-    "predict": (cmd_predict, False),
-    "simulate": (cmd_simulate, False),
-    "bench-chol": (cmd_bench_chol, True),  # spawns its own clusters
+    "loglik": cmd_loglik,
+    "fit": cmd_fit,
+    "predict": cmd_predict,
+    "simulate": cmd_simulate,
 }
 
 
@@ -287,12 +240,8 @@ def main(argv=None):
     try:
         cfg = _Config(parse_config(args.config, args.overrides))
         theta_echo = cfg.raw.get("theta0")
-        fn, self_managed = COMMANDS[args.command]
-        if self_managed:
-            fn(None, cfg)
-        else:
-            cluster = _spawn(cfg)
-            fn(cluster, cfg)
+        cluster = _spawn(cfg)
+        COMMANDS[args.command](cluster, cfg)
         return 0
     except (ConfigError, NotTriangularNumber) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,10 +86,6 @@ class GeneratorError(BlockGPError):
         return (GeneratorError, (self.rank, self.cause))
 
 
-class StreamsUninitialized(BlockGPError):
-    """Random streams used before a master seed was installed."""
-
-
 class UnsupportedSmoothness(BlockGPError):
     """Matern smoothness outside the supported half-integer set."""
 

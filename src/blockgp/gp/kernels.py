@@ -113,16 +113,11 @@ def _block_generator(corr, rows, cols, add_delta):
     return gen
 
 
-def _pred_var(params, inputs, i):
-    return np.full(len(i), params[0])
-
-
 def _register_builtins():
     for kernel, (_, corr, delta_kinds) in _KERNELS.items():
         for kind, (rows, cols) in _POINT_SETS.items():
             registry.register(f"gen.{kernel}.{kind}", _block_generator(
                 corr, rows, cols, kind in delta_kinds))
-        registry.register(f"gen.{kernel}.predvar", _pred_var)
 
 
 _register_builtins()

@@ -31,9 +31,8 @@ class CovarianceSpec:
 
     All five generators are registry ids sharing one theta layout; `inputs`
     is pushed to the workers once and handed to every generator call.
-    `pred_var_fn` (diag of the prediction covariance, as a vector generator)
-    is optional; without it the full prediction covariance is built when
-    standard errors are requested.
+    Standard errors evaluate `pred_cov_fn` on the diagonal blocks of the
+    prediction layout only, and keep its diagonal as the prior variances.
     """
 
     cov_fn: str
@@ -41,7 +40,6 @@ class CovarianceSpec:
     pred_cov_fn: str
     mean_fn: str = "gen.zero"
     pred_mean_fn: str = "gen.zero"
-    pred_var_fn: str = None
     inputs: dict = field(default_factory=dict)
     n_params: int = 1
 
@@ -59,7 +57,6 @@ def builtin_spec(kernel, coords, pred_coords=None, **kernel_inputs):
         cov_fn=f"gen.{kernel}.cov",
         cross_cov_fn=f"gen.{kernel}.cross",
         pred_cov_fn=f"gen.{kernel}.pred",
-        pred_var_fn=f"gen.{kernel}.predvar",
         inputs=inputs,
         n_params=BUILTIN_KERNELS[kernel])
 
@@ -80,6 +77,7 @@ class KrigeProblem:
     and `_state` is the one slot saying which theta that is and how far it
     has been built, with what was collected from the workers:
       - "ll": L, mu and u exist (any successful call);
+      - "prior_mean": mu, collected by the first unconditional simulation;
       - "pred_mean": V exists too (predict, prediction_variance, simulate);
       - "se2": the prediction variances, kept on the master;
       - "LSigma": the posterior factor LSigma exists too.
@@ -292,15 +290,10 @@ class KrigeProblem:
         return state["pred_mean"].copy(), np.sqrt(state["se2"])
 
     def _prediction_variances(self):
-        """diag(C_pred) - diag(V^T V), clamped at zero.  Without pred_var_fn
-        the prediction covariance is evaluated on its diagonal blocks only."""
-        spec = self.spec
-        if spec.pred_var_fn is not None:
-            pv = self._construct("pv", "vector", spec.pred_var_fn,
-                                 self.theta, self.col_layout)
-        else:
-            pv = self._construct("pv", "vector", spec.pred_cov_fn,
-                                 self.theta, self.col_layout, diagonal=True)
+        """diag(C_pred) - diag(V^T V), clamped at zero; the prediction
+        covariance is evaluated on its diagonal blocks only."""
+        pv = self._construct("pv", "vector", self.spec.pred_cov_fn,
+                             self.theta, self.col_layout, diagonal=True)
         prior_var = distla.collect(self.cluster, pv, True)
         vtv = distla.crossprod_self_diag(self.cluster, self._V,
                                          self._nm("vtv_diag"))
@@ -337,9 +330,11 @@ class KrigeProblem:
                 state = self._ensure_posterior_factor(self.theta)
                 factor, base = state["LSigma"], state["pred_mean"]
             else:
-                self._ensure_chol(self.theta)
-                factor = self._L
-                base = distla.collect(self.cluster, self._mu)
+                state = self._ensure_chol(self.theta)
+                if "prior_mean" not in state:
+                    state["prior_mean"] = distla.collect(self.cluster,
+                                                         self._mu)
+                factor, base = self._L, state["prior_mean"]
             z = distla.construct_rnorm_distributed(
                 self.cluster, self._nm("Z"), "rectangular", factor.layout,
                 r_layout, fill=fill)

@@ -10,8 +10,6 @@ which is bit-stable across platforms.
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import StreamsUninitialized
-
 _TINY = 2.0 ** -54  # replaces an exact 0.0 uniform so ndtri stays finite
 
 
@@ -19,28 +17,14 @@ class RankStream:
     """Sequential N(0,1) stream for one rank."""
 
     def __init__(self, master_seed, rank):
-        key = (int(master_seed) << 64) + int(rank)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = (int(master_seed) << 64) + int(rank)
+        self._gen = None
 
     def standard_normals(self, count):
+        if self._gen is None:
+            # built at the first draw: every worker gets a stream at spawn,
+            # and most clusters (fits) never draw
+            self._gen = np.random.Generator(np.random.Philox(key=self._key))
         u = self._gen.random(int(count))
         u[u == 0.0] = _TINY
         return ndtri(u)
-
-
-class StreamFamily:
-    """Lazily-created per-rank streams under one master seed."""
-
-    def __init__(self, master_seed=None):
-        self.master_seed = master_seed
-        self._streams = {}
-
-    def stream(self, rank):
-        if self.master_seed is None:
-            raise StreamsUninitialized("no master seed installed")
-        if rank not in self._streams:
-            self._streams[rank] = RankStream(self.master_seed, rank)
-        return self._streams[rank]
-
-    def standard_normals(self, rank, count):
-        return self.stream(rank).standard_normals(count)

@@ -1,6 +1,8 @@
 """Worker runtime: cluster spawning, messaging, and remote object stores."""
 
-from ..errors import BackendUnavailable
+import numpy as np
+
+from ..errors import BackendUnavailable, ConfigError
 from ..grid import grid_from_process_count
 from .base import Cluster, Message, WorkerContext
 
@@ -10,10 +12,17 @@ BACKENDS = ("in-process", "multi-process-socket")
 def spawn(P, backend="in-process", seed=0, blas_threads=None):
     """Start P workers plus the master and return the Cluster handle.
 
-    P must be a triangular number D(D+1)/2.  The in-process backend runs each
-    worker on its own thread with deep-copied message payloads; the socket
-    backend spawns subprocesses connected over loopback TCP.
+    P must be a triangular number D(D+1)/2 and `seed` an integer in
+    [0, 2**64), the master half of every rank's Philox key.  The in-process
+    backend runs each worker on its own thread with deep-copied message
+    payloads; the socket backend spawns subprocesses connected over loopback
+    TCP.
     """
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or not 0 <= int(seed) < 2 ** 64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), "
+                          f"got {seed!r}")
+    seed = int(seed)
     grid = grid_from_process_count(P)
     if backend == "in-process":
         from .inprocess import InProcessCluster

@@ -19,7 +19,7 @@ from .. import registry
 from ..errors import (BlockGPError, ClusterDown, NoSuchObject, WorkerFailure,
                       _CollectiveAborted)
 from ..grid import ProcessGrid
-from ..rng import StreamFamily
+from ..rng import RankStream
 
 RUNTIME_OBJECT = ".runtime"
 
@@ -93,7 +93,7 @@ class WorkerContext:
     coord: tuple
     grid: ProcessGrid
     store: dict
-    streams: StreamFamily
+    stream: RankStream
     _send: object = None          # callable(dst_rank, tag, payload)
     _mailbox: Mailbox = None
     events: list = field(default_factory=list)
@@ -123,7 +123,7 @@ class WorkerContext:
             raise NoSuchObject(name, self.rank) from None
 
     def normals(self, count):
-        return self.streams.standard_normals(self.rank, count)
+        return self.stream.standard_normals(count)
 
     def log_event(self, op, I, J):
         if self.events_enabled:
@@ -142,7 +142,7 @@ class WorkerCore:
             rank=rank, coord=coord, grid=grid,
             store={RUNTIME_OBJECT: {"rank": rank, "coord": coord,
                                     "D": grid.D, "P": grid.P, "seed": seed}},
-            streams=StreamFamily(seed),
+            stream=RankStream(seed, rank),
             _send=send_fn, _mailbox=self.mailbox)
         self.abort_fn = None  # callable(), set by backend
 

@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 from ..errors import BackendUnavailable, WorkerFailure
 from .base import Cluster
@@ -24,6 +25,7 @@ from .wire import (decode_body, encode_control, encode_data, nodelay,
                    read_frame)
 
 _SPAWN_TIMEOUT = 60.0
+_SPAWN_POLL = 0.1  # seconds between checks for a worker that has exited
 
 
 class SocketCluster(Cluster):
@@ -51,25 +53,47 @@ class SocketCluster(Cluster):
             self._procs.append(subprocess.Popen(
                 [sys.executable, "-m", "blockgp.transport.socket_worker",
                  str(port), str(rank), str(grid.D), str(seed)], env=env))
-        self._listener.settimeout(_SPAWN_TIMEOUT)
         try:
-            pending = set(self._all())
-            while pending:
-                conn = nodelay(self._listener.accept()[0])
-                body = read_frame(conn)
-                kind, hello = decode_body(body)
-                assert kind == "control" and hello["kind"] == "hello"
-                rank = hello["rank"]
-                self._socks[rank] = conn
-                self._locks[rank] = threading.Lock()
-                pending.discard(rank)
-        except (socket.timeout, AssertionError) as exc:
+            self._handshake()
+        except BaseException:
             self._kill()
-            raise BackendUnavailable(f"worker handshake failed: {exc}")
+            raise
         for rank in self._all():
             t = threading.Thread(target=self._reader, args=(rank,),
                                  daemon=True, name=f"blockgp-relay-{rank}")
             t.start()
+
+    def _handshake(self):
+        """Accept one hello per rank.  A worker that exits first fails the
+        spawn at once; one that never says hello fails it after
+        _SPAWN_TIMEOUT."""
+        self._listener.settimeout(_SPAWN_POLL)
+        deadline = time.monotonic() + _SPAWN_TIMEOUT
+        pending = set(self._all())
+        while pending:
+            try:
+                conn = nodelay(self._listener.accept()[0])
+            except socket.timeout:
+                for rank in sorted(pending):
+                    code = self._procs[rank - 1].poll()
+                    if code is not None:
+                        raise BackendUnavailable(
+                            f"worker rank {rank} exited with code {code} "
+                            f"before its handshake") from None
+                if time.monotonic() > deadline:
+                    raise BackendUnavailable(
+                        f"worker handshake failed: ranks {sorted(pending)} "
+                        f"did not connect within {_SPAWN_TIMEOUT:.0f} s"
+                    ) from None
+                continue
+            kind, hello = decode_body(read_frame(conn))
+            if kind != "control" or hello["kind"] != "hello":
+                raise BackendUnavailable(
+                    f"worker handshake failed: unexpected frame {hello!r}")
+            rank = hello["rank"]
+            self._socks[rank] = conn
+            self._locks[rank] = threading.Lock()
+            pending.discard(rank)
 
     def _write(self, rank, frame):
         """Send a frame to a rank; a broken connection fails that rank."""
@@ -140,4 +164,7 @@ class SocketCluster(Cluster):
     def _kill(self):
         for proc in self._procs:
             proc.kill()
+            proc.wait()
+        for sock in self._socks.values():
+            sock.close()
         self._listener.close()

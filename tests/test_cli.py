@@ -1,7 +1,10 @@
 """Batch driver: commands, config handling, artifact files, exit codes."""
 
+import ast
 import csv
+import inspect
 import json
+import re
 import threading
 
 import numpy as np
@@ -130,19 +133,6 @@ class TestSimulate:
         assert len(rows) == 26  # 25 observations + header
 
 
-class TestBenchChol:
-    def test_sweep_writes_timing_csv(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "b.cfg", out=tmp_path / "bench.csv",
-                           bench_n="48", bench_p="1,3,6", bench_h="1,2,3")
-        assert cli.main(["bench-chol", cfg]) == 0
-        with open(tmp_path / "bench.csv", newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["n", "P", "h", "seconds", "residual"]
-        assert len(rows) == 10  # 1 x 3 x 3 sweep
-        for row in rows[1:]:
-            assert float(row[4]) <= 1e-10  # every residual check passes
-
-
 class TestDeterminism:
     def test_identical_config_gives_identical_files(self, workdir):
         outs = []
@@ -190,6 +180,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "1.0,2.0" in err
 
+    def test_negative_seed(self, workdir, capsys):
+        assert cli.main(["loglik", str(workdir / "job.cfg"), "seed=-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_backend_failure(self, workdir, capsys):
         assert cli.main(["loglik", str(workdir / "job.cfg"),
                          "backend=carrier-pigeon"]) == 4
@@ -229,11 +223,56 @@ class TestExitCodes:
                          f"out={workdir / 'p.csv'}"]) == 2
 
 
+def _with_loop_bindings(node, bound=None):
+    """Each node of the tree with the iterables its enclosing loops and
+    comprehensions bind to their names."""
+    bound = dict(bound or {})
+    loops = (node.generators if isinstance(node, (
+        ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+        else [node] if isinstance(node, ast.For) else [])
+    bound.update((loop.target.id, loop.iter) for loop in loops
+                 if isinstance(loop.target, ast.Name))
+    yield node, bound
+    for child in ast.iter_child_nodes(node):
+        yield from _with_loop_bindings(child, bound)
+
+
+def _keys_read_by_cli():
+    """Every config key cli.py reads, from its source: the string argument
+    of a `cfg.<getter>(...)` or `cfg.raw.get(...)` call, or, where that
+    argument is a loop variable, each string of the tuple it runs over."""
+    keys = set()
+    for node, bound in _with_loop_bindings(
+            ast.parse(inspect.getsource(cli))):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) in ("cfg", "cfg.raw")):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Name):
+            arg = bound[arg.id]
+        keys.update(ast.literal_eval(arg) if isinstance(arg, ast.Tuple)
+                    else [ast.literal_eval(arg)])
+    return keys
+
+
+def _keys_listed():
+    """The keys CONFIG_KEYS documents: each indented line starts with one
+    key, or a comma-separated group of keys, then two or more spaces."""
+    listed = set()
+    for line in cli.CONFIG_KEYS.splitlines():
+        if line.startswith("  "):
+            names = re.split(r"\s{2,}", line.strip())[0]
+            listed.update(name.strip() for name in names.split(","))
+    return listed
+
+
 def test_help_documents_config_keys(capsys):
+    read, listed = _keys_read_by_cli(), _keys_listed()
+    assert {"workers", "seed", "theta0", "nu", "blas_threads"} <= read
+    assert read == listed
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
     out = capsys.readouterr().out
-    for key in ("workers", "backend", "kernel", "theta0", "pred_grid",
-                "bench_n", "blas_threads", "seed"):
-        assert key in out
+    assert [key for key in sorted(listed) if key not in out] == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
                                  run_state_machine_as_test)
 
-from blockgp import registry, spawn
+from blockgp import distla, registry, spawn
 from blockgp.distla import LocalPiece
 from blockgp.errors import (BlockGPError, DimensionMismatch,
                             NotPositiveDefinite, UnsupportedSmoothness)
@@ -57,6 +57,17 @@ def _counted_pred(params, inputs, i, j):
     shape of every block it is asked for."""
     _PRED_CALLS.append((len(i), len(j)))
     return registry.lookup("gen.matern-nugget.pred")(params, inputs, i, j)
+
+
+def _trend(params, x):
+    """A mean that depends on the coordinates and on theta."""
+    return params[0] * np.sin(x) + params[1] * x
+
+
+registry.register("test.trend.obs", lambda params, inputs, i: _trend(
+    params, inputs["coords"][i - 1]))
+registry.register("test.trend.pred", lambda params, inputs, i: _trend(
+    params, inputs["pred_coords"][i - 1]))
 
 
 def _small_problem(cl, name="t"):
@@ -451,6 +462,15 @@ class KrigeMachine(RuleBasedStateMachine):
                                   "distla.collect"])
 
     @rule()
+    def unconditional_repeat(self):
+        # a repeat at one theta only draws: the prior mean is kept once
+        # collected
+        self.check(lambda: self.prob.simulate_realizations(3, False, True),
+                   self.prob.theta, "simulate_realizations", 3, False, True,
+                   repeat_issues=["distla.rnorm", "distla.mult",
+                                  "distla.collect"])
+
+    @rule()
     def optimize(self):
         want = _oracle(self.prob.theta, "optimize_log_dens", None, 5)
         res = self.prob.optimize_log_dens(max_evals=5)
@@ -587,25 +607,25 @@ class TestPredict:
         np.testing.assert_allclose(PV, 3.0 * np.eye(6), atol=1e-12)
 
     def test_prior_variance_from_prediction_covariance(self, cluster_factory):
-        # without pred_var_fn the prior variances are the collected diagonal
-        # of the prediction covariance; padded layouts on both sides
+        # the prior variances are the diagonal of the prediction covariance:
+        # se^2 = diag(C_pred) - diag(V^T V), on padded layouts on both sides
         cl = cluster_factory(3)
         rng = np.random.default_rng(15)
         coords = np.sort(rng.uniform(0, 10, 17))
         pred = np.linspace(0.5, 9.5, 7)
-        y = rng.standard_normal(17)
-        spec = builtin_spec("matern-nugget", coords, pred)
-        got = []
-        for name, sp in (("var", spec),
-                         ("diag", dataclasses.replace(spec, pred_var_fn=None))):
-            prob = KrigeProblem(cl, name, sp, y, [1.5, 2.0, 0.1], m=7,
-                                h_n=2, h_m=2, h_r=1)
-            got.append(prob.predict(se_fit=True))
-        for a, b in zip(*got):
-            np.testing.assert_array_equal(a, b)
+        theta = np.array([1.5, 2.0, 0.1])
+        prob = KrigeProblem(cl, "t", builtin_spec("matern-nugget", coords,
+                                                  pred),
+                            rng.standard_normal(17), theta, m=7, h_n=2,
+                            h_m=2, h_r=1)
+        _, se = prob.predict(se_fit=True)
+        V = distla.collect(cl, prob._V)
+        np.testing.assert_allclose(se ** 2, theta[0] - (V * V).sum(axis=0),
+                                   rtol=1e-13)
         for rank in range(1, 4):  # no m x m prediction covariance was kept
-            assert not [nm for nm in cl.remote_ls(rank)
-                        if nm.endswith(".Cp")]
+            assert set(cl.remote_ls(rank)) - {".runtime"} == {
+                f"t.{suffix}" for suffix in ("inputs", "y", "L", "mu", "u",
+                                             "V")}
 
     def test_prior_variance_evaluates_diagonal_blocks_only(
             self, cluster_factory):
@@ -615,7 +635,7 @@ class TestPredict:
         pred = np.linspace(0.5, 9.5, 13)
         spec = dataclasses.replace(
             builtin_spec("matern-nugget", coords, pred),
-            pred_cov_fn="test.counted.pred", pred_var_fn=None)
+            pred_cov_fn="test.counted.pred")
         prob = KrigeProblem(cl, "d", spec, rng.standard_normal(17),
                             [1.5, 2.0, 0.1], m=13, h_n=2, h_m=2, h_r=1)
         prob.predict()
@@ -632,6 +652,46 @@ class TestPredict:
         prob = _problem(cl, [0.0, 1.0], [0.0, 0.0], [1.0], kernel="white")
         with pytest.raises(DimensionMismatch):
             prob.predict()
+
+
+class TestNonZeroMean:
+    """A coordinate- and theta-dependent mean against the dense formulas,
+    on P=3 with padded layouts (n=17 in 4 blocks of 5, m=7 in 4 of 2)."""
+
+    theta = np.array([1.5, 2.0, 0.1])
+
+    def _setup(self, cl):
+        rng = np.random.default_rng(17)
+        coords = np.sort(rng.uniform(0, 10, 17))
+        pred = np.linspace(0.5, 9.5, 7)
+        y = rng.standard_normal(17) + _trend(self.theta, coords)
+        spec = dataclasses.replace(
+            builtin_spec("matern-nugget", coords, pred),
+            mean_fn="test.trend.obs", pred_mean_fn="test.trend.pred")
+        prob = KrigeProblem(cl, "t", spec, y, self.theta, m=7, h_n=2, h_m=2,
+                            h_r=1)
+        return prob, coords, pred, y
+
+    def test_log_density_and_predicted_means(self, cluster_factory):
+        prob, coords, pred, y = self._setup(cluster_factory(3))
+        C = exp_cov(coords, *self.theta)
+        resid = y - _trend(self.theta, coords)
+        want = _serial_loglik(C, y, _trend(self.theta, coords))
+        assert abs(prob.log_density() - want) / abs(want) <= 1e-12
+        Cx = self.theta[0] * np.exp(
+            -np.abs(coords[:, None] - pred[None, :]) / self.theta[1])
+        want_mean = (_trend(self.theta, pred)
+                     + Cx.T @ np.linalg.solve(C, resid))
+        assert relerr(prob.predict(), want_mean) <= 1e-10
+
+    def test_zero_noise_unconditional_returns_the_mean(self,
+                                                       cluster_factory):
+        prob, coords, _, _ = self._setup(cluster_factory(3))
+        for _ in range(2):  # the repeat reuses the collected prior mean
+            sims = prob.simulate_realizations(3, post=False, zero_noise=True)
+            np.testing.assert_allclose(
+                sims, np.repeat(_trend(self.theta, coords)[:, None], 3, 1),
+                rtol=1e-14, atol=0)
 
 
 class TestSimulate:

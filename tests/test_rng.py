@@ -1,11 +1,9 @@
 """Per-rank random streams: determinism, marginals, independence."""
 
 import numpy as np
-import pytest
 
-from blockgp import distla
-from blockgp.errors import StreamsUninitialized
-from blockgp.rng import RankStream, StreamFamily
+from blockgp import distla, registry
+from blockgp.rng import RankStream
 
 
 class TestRankStream:
@@ -41,23 +39,27 @@ class TestRankStream:
         assert np.all(np.isfinite(x))
 
 
-class TestStreamFamily:
-    def test_uninitialized_family_raises(self):
-        fam = StreamFamily(None)
-        with pytest.raises(StreamsUninitialized):
-            fam.standard_normals(1, 10)
+@registry.register("test.rng.normals")
+def _worker_normals(ctx, count):
+    return ctx.normals(count)
 
-    def test_family_matches_direct_stream(self):
-        fam = StreamFamily(7)
-        np.testing.assert_array_equal(
-            fam.standard_normals(3, 64),
-            RankStream(7, 3).standard_normals(64))
 
-    def test_family_streams_advance(self):
-        fam = StreamFamily(7)
-        a = fam.standard_normals(1, 10)
-        b = fam.standard_normals(1, 10)
-        assert not np.array_equal(a, b)
+class TestWorkerStream:
+    def test_each_rank_draws_its_own_stream(self, cluster_factory):
+        cl = cluster_factory(3, seed=7)
+        got = cl.run("test.rng.normals", count=64)
+        for rank, draws in enumerate(got, 1):
+            np.testing.assert_array_equal(
+                draws, RankStream(7, rank).standard_normals(64))
+
+    def test_worker_stream_advances(self, cluster_factory):
+        cl = cluster_factory(3, seed=7)
+        first = cl.run("test.rng.normals", count=10)
+        second = cl.run("test.rng.normals", count=10)
+        for rank in range(1, 4):
+            np.testing.assert_array_equal(
+                np.concatenate([first[rank - 1], second[rank - 1]]),
+                RankStream(7, rank).standard_normals(20))
 
 
 class TestDistributedNormals:

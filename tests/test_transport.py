@@ -2,16 +2,18 @@
 
 import socket
 import struct
+import subprocess
 import threading
 
 import numpy as np
 import pytest
 
 from blockgp import distla, registry, spawn
-from blockgp.errors import (BackendUnavailable, ClusterDown, NoSuchObject,
-                            NotTriangularNumber, UnknownFunction,
-                            WorkerFailure)
-from blockgp.transport import socket_worker, wire
+from blockgp.errors import (BackendUnavailable, ClusterDown, ConfigError,
+                            NoSuchObject, NotTriangularNumber,
+                            UnknownFunction, WorkerFailure)
+from blockgp.rng import RankStream
+from blockgp.transport import socket_worker, socketbackend, wire
 from blockgp.transport.base import RUNTIME_OBJECT
 
 from conftest import spd_matrix
@@ -33,6 +35,23 @@ class TestSpawn:
     def test_unknown_backend(self):
         with pytest.raises(BackendUnavailable):
             spawn(3, backend="smoke-signals")
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", True, 2 ** 64,
+                                      np.float64(3.0)])
+    def test_invalid_seed_rejected_before_workers_start(self, seed):
+        threads = set(threading.enumerate())
+        with pytest.raises(ConfigError, match="seed"):
+            spawn(3, seed=seed)
+        assert set(threading.enumerate()) <= threads  # no worker started
+
+    @pytest.mark.parametrize("seed", [0, np.int32(7), np.uint64(2 ** 64 - 1),
+                                      2 ** 64 - 1])
+    def test_integer_seeds_key_the_streams(self, cluster_factory, seed):
+        cl = cluster_factory(1, seed=seed)
+        layout = distla.make_layout(5, cl.grid, h=1)
+        z = distla.construct_rnorm_distributed(cl, "z", "vector", layout)
+        np.testing.assert_array_equal(
+            distla.collect(cl, z), RankStream(int(seed), 1).standard_normals(5))
 
     def test_runtime_metadata_resident(self, cluster_factory):
         cl = cluster_factory(3)
@@ -298,8 +317,8 @@ def test_socket_backend_error_propagation(cluster_factory):
                                atol=1e-12)
 
 
-def _raised_within_10s(fn, *args):
-    """Run fn in a thread joined with a 10 s timeout; the one exception it
+def _raised_within(seconds, fn, *args):
+    """Run fn in a thread joined with a timeout; the one exception it
     raised."""
     raised = []
 
@@ -310,8 +329,8 @@ def _raised_within_10s(fn, *args):
             raised.append(exc)
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive(), "call still blocked after 10 s"
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"call still blocked after {seconds} s"
     assert len(raised) == 1, raised
     return raised[0]
 
@@ -325,12 +344,44 @@ def test_socket_dead_worker_is_attributed(cluster_factory, victim):
     proc = cl._procs[victim - 1]
     proc.kill()
     proc.wait()
-    exc = _raised_within_10s(distla.sum_squares, cl, x)
+    exc = _raised_within(10, distla.sum_squares, cl, x)
     assert isinstance(exc, WorkerFailure), exc
     assert exc.rank == victim
     with pytest.raises(WorkerFailure) as info:  # no further work is accepted
         cl.pull("x", victim % 3 + 1)
     assert info.value.rank == victim
+
+
+@pytest.mark.slow
+def test_socket_spawn_rejects_bad_seed_at_once():
+    exc = _raised_within(5, spawn, 3, "multi-process-socket", None)
+    assert isinstance(exc, ConfigError), exc
+
+
+@pytest.mark.slow
+def test_socket_spawn_fails_fast_when_a_worker_exits(monkeypatch):
+    started = []
+
+    class RankTwoExits:
+        """Stands in for `subprocess` in socketbackend: rank 2 exits with
+        code 3 before it connects."""
+
+        def __getattr__(self, name):
+            return getattr(subprocess, name)
+
+        @staticmethod
+        def Popen(cmd, **kwargs):
+            if cmd[4] == "2":  # python -m MODULE PORT RANK D SEED
+                cmd = [cmd[0], "-c", "raise SystemExit(3)"]
+            started.append(subprocess.Popen(cmd, **kwargs))
+            return started[-1]
+
+    monkeypatch.setattr(socketbackend, "subprocess", RankTwoExits())
+    exc = _raised_within(10, spawn, 3, "multi-process-socket", 0, 1)
+    assert isinstance(exc, BackendUnavailable), exc
+    assert "rank 2" in str(exc) and "code 3" in str(exc)
+    assert len(started) == 3
+    assert all(proc.poll() is not None for proc in started)
 
 
 def _bad_version_frame():
@@ -346,7 +397,7 @@ def test_socket_undecodable_frame_is_attributed(cluster_factory):
     layout = distla.make_layout(12, cl.grid, h=1)
     x = distla.distribute(cl, "x", np.arange(12.0), "vector", layout)
     cl._write(2, _bad_version_frame())
-    exc = _raised_within_10s(distla.sum_squares, cl, x)
+    exc = _raised_within(10, distla.sum_squares, cl, x)
     assert isinstance(exc, WorkerFailure), exc
     assert exc.rank == 2
 
