@@ -7,103 +7,112 @@ One job per invocation; this process is the cluster master.  Commands:
   predict     write kriging means (and standard errors) as CSV
   simulate    write r realizations (conditional or unconditional) as CSV
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error (the
-offending theta is echoed), 4 worker crash or backend failure.
+Exit codes: 0 success; 2 input error: an unreadable or malformed file, an
+unknown key, a bad or missing value, or inputs the library rejects; 3
+numerical error (theta0 is echoed); 4 worker crash or backend failure.
 """
 
 import argparse
 import csv
 import json
 import sys
+import textwrap
 
 import numpy as np
 
 from .errors import (BackendUnavailable, ClusterDown, ConfigError,
-                     NonFiniteObjective, NotPositiveDefinite,
-                     NotTriangularNumber, SingularDiagonal, WorkerFailure)
+                     DimensionMismatch, NonFiniteObjective,
+                     NotPositiveDefinite, NotTriangularNumber,
+                     SingularDiagonal, UnsupportedSmoothness, WorkerFailure)
 from .gp import BUILTIN_KERNELS, KrigeProblem, builtin_spec
 from .transport import spawn
 
-CONFIG_KEYS = """\
-Config file format: one `key = value` per line; `#` starts a comment.
 
-  workers       worker count P; must be a triangular number (default 3)
-  backend       "in-process" (default) or "multi-process-socket"
-  h             blocks per process-grid dimension (default: size heuristic)
-  seed          master RNG seed, one deterministic stream per rank (default 0)
-  kernel        one of: %s
-  theta0        comma-separated positive parameters, e.g. "1.0,2.0,0.1"
-  nu, nu1, nu2  Matern smoothness in {0.5, 1.5, 2.5} where the kernel uses it
-  data          CSV of observations: input columns then a "y" column
-  pred_grid     CSV of prediction points: the same input columns, no "y"
-  out           output file (fit/predict/simulate)
-  se_fit        predict: also write standard errors (true/false, default false)
-  r             simulate: number of realizations (default 100)
-  post          simulate: conditional on the data (true/false, default true)
-  max_evals     fit: optimizer evaluation budget (default 500)
-  blas_threads  socket backend only: BLAS threads per worker process
-""" % ", ".join(sorted(BUILTIN_KERNELS))
+def _bool(text):
+    return {"true": True, "false": False, "1": True, "0": False,
+            "yes": True, "no": False}[text.lower()]
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
+
+def _floats(text):
+    return [float(x) for x in text.split(",")]
+
+
+REQUIRED = object()
+
+# key -> (parser of its text, default text / None for unset / REQUIRED, help)
+KEYS = {
+    "workers": (int, "3", "worker count P; must be a triangular number"),
+    "backend": (str, "in-process", '"in-process" or "multi-process-socket"'),
+    "h": (int, None, "blocks per process-grid dimension, picked from the "
+          "point count when unset"),
+    "seed": (int, "0", "master RNG seed, one deterministic stream per rank"),
+    "kernel": (str, REQUIRED, "one of: " + ", ".join(sorted(BUILTIN_KERNELS))),
+    "theta0": (_floats, REQUIRED,
+               'comma-separated positive parameters, e.g. "1.0,2.0,0.1"'),
+    "nu": (float, "0.5", "matern, matern-nugget: smoothness 0.5, 1.5 or 2.5"),
+    "nu1": (float, "0.5", "matern-product-nugget: smoothness along axis 1"),
+    "nu2": (float, "0.5", "matern-product-nugget: smoothness along axis 2"),
+    "data": (str, REQUIRED, 'CSV of observations: input columns, then "y"'),
+    "pred_grid": (str, REQUIRED, "predict, simulate post=true: CSV of "
+                  'prediction points, the input columns without "y"'),
+    "out": (str, REQUIRED, "fit, predict, simulate: output file"),
+    "se_fit": (_bool, "false", "predict: also write standard errors"),
+    "r": (int, "100", "simulate: number of realizations"),
+    "post": (_bool, "true", "simulate: conditional on the data"),
+    "max_evals": (int, "500", "fit: optimizer evaluation budget"),
+    "blas_threads": (int, None, "socket backend only: BLAS threads per "
+                     "worker process, the BLAS library's choice when unset"),
+}
+
+
+def _shown(default):
+    if default is REQUIRED:
+        return "required"
+    return "default unset" if default is None else f"default {default}"
+
+
+KEYS_HELP = "\n".join(
+    ["Config file format: one `key = value` per line; `#` starts a comment.",
+     ""] + [textwrap.fill(f"{key:<13} {text} ({_shown(default)})", 79,
+                          initial_indent="  ", subsequent_indent=" " * 16)
+            for key, (_, default, text) in KEYS.items()])
+
+
+class _Config(dict):
+    """Parsed config values by key; a key not given reads as its default,
+    and a required key not given raises ConfigError."""
+
+    def __missing__(self, key):
+        parse, default, _ = KEYS[key]
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config key {key!r}")
+        return None if default is None else parse(default)
 
 
 def parse_config(path, overrides=()):
-    """Read the flat key=value file, then apply key=value overrides."""
-    cfg = {}
+    """Read the flat key=value file, then apply key=value overrides; every
+    key must be in KEYS and every value given must parse."""
     try:
         with open(path) as f:
             lines = f.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    for item in overrides:
+    items = [(f"{path}:{lineno}", line) for lineno, raw in enumerate(lines, 1)
+             if (line := raw.split("#", 1)[0].strip())]
+    items += [(f"override {item!r}", item) for item in overrides]
+    cfg = _Config()
+    for where, item in items:
         if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-class _Config:
-    """Typed access to the raw string map; every error names the key."""
-
-    def __init__(self, raw):
-        self.raw = raw
-
-    def _get(self, key, cast, default):
-        if key not in self.raw:
-            if default is ...:
-                raise ConfigError(f"missing required config key {key!r}")
-            return default
+            raise ConfigError(f"{where}: expected key = value")
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key not in KEYS:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
         try:
-            return cast(self.raw[key])
+            cfg[key] = KEYS[key][0](value)
         except (ValueError, KeyError) as exc:
-            raise ConfigError(
-                f"bad value for {key!r}: {self.raw[key]!r}") from exc
-
-    def str(self, key, default=...):
-        return self._get(key, str, default)
-
-    def int(self, key, default=...):
-        return self._get(key, int, default)
-
-    def float(self, key, default=...):
-        return self._get(key, float, default)
-
-    def bool(self, key, default=...):
-        return self._get(key, lambda s: _BOOL[s.lower()], default)
-
-    def floats(self, key, default=...):
-        return self._get(
-            key, lambda s: [float(x) for x in s.split(",")], default)
+            raise ConfigError(f"{where}: bad value for {key!r}: "
+                              f"{value!r}") from exc
+    return cfg
 
 
 def read_csv_table(path, require_y):
@@ -146,33 +155,16 @@ def write_csv(path, header, rows):
             w.writerow([repr(float(v)) for v in row])
 
 
-def _spawn(cfg):
-    return spawn(cfg.int("workers", 3),
-                 backend=cfg.str("backend", "in-process"),
-                 seed=cfg.int("seed", 0),
-                 blas_threads=cfg.int("blas_threads", None))
-
-
 def _make_problem(cluster, cfg, need_pred):
-    kernel = cfg.str("kernel")
-    if kernel not in BUILTIN_KERNELS:
-        raise ConfigError(f"unknown kernel {kernel!r}; "
-                          f"choose from {sorted(BUILTIN_KERNELS)}")
-    theta0 = np.array(cfg.floats("theta0"))
-    if theta0.size != BUILTIN_KERNELS[kernel]:
-        raise ConfigError(f"kernel {kernel!r} takes {BUILTIN_KERNELS[kernel]} "
-                          f"parameters, theta0 has {theta0.size}")
-    if np.any(theta0 <= 0) or not np.all(np.isfinite(theta0)):
-        raise ConfigError("theta0 entries must be finite and positive")
-    coords, y = read_csv_table(cfg.str("data"), require_y=True)
+    coords, y = read_csv_table(cfg["data"], require_y=True)
     pred_coords, m = None, 0
     if need_pred:
-        pred_coords, _ = read_csv_table(cfg.str("pred_grid"), require_y=False)
+        pred_coords, _ = read_csv_table(cfg["pred_grid"], require_y=False)
         m = len(pred_coords)
-    extra = {k: cfg.float(k) for k in ("nu", "nu1", "nu2") if k in cfg.raw}
-    spec = builtin_spec(kernel, coords, pred_coords, **extra)
-    h = cfg.int("h", None)
-    return KrigeProblem(cluster, "job", spec, y, theta0, m=m,
+    spec = builtin_spec(cfg["kernel"], coords, pred_coords, nu=cfg["nu"],
+                        nu1=cfg["nu1"], nu2=cfg["nu2"])
+    h = cfg["h"]
+    return KrigeProblem(cluster, "job", spec, y, cfg["theta0"], m=m,
                         h_n=h, h_m=h, h_r=h)
 
 
@@ -183,14 +175,14 @@ def cmd_loglik(cluster, cfg):
 
 def cmd_fit(cluster, cfg):
     prob = _make_problem(cluster, cfg, need_pred=False)
-    res = prob.optimize_log_dens(max_evals=cfg.int("max_evals", 500))
+    res = prob.optimize_log_dens(max_evals=cfg["max_evals"])
     doc = {"theta": list(res.theta),
            "log_density": res.log_density,
            "converged": res.converged,
            "n_evals": res.n_evals,
            "trace": [{"theta": list(t), "log_density": ll}
                      for t, ll in res.trace]}
-    with open(cfg.str("out"), "w") as f:
+    with open(cfg["out"], "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
     print(f"fit theta {list(res.theta)} log_density {res.log_density!r}")
@@ -198,21 +190,22 @@ def cmd_fit(cluster, cfg):
 
 def cmd_predict(cluster, cfg):
     prob = _make_problem(cluster, cfg, need_pred=True)
-    if cfg.bool("se_fit", False):
+    if cfg["se_fit"]:
         mean, se = prob.predict(se_fit=True)
-        write_csv(cfg.str("out"), ["mean", "se"], np.column_stack([mean, se]))
+        write_csv(cfg["out"], ["mean", "se"], np.column_stack([mean, se]))
     else:
         mean = prob.predict()
-        write_csv(cfg.str("out"), ["mean"], mean[:, None])
-    print(f"predict wrote {len(mean)} rows to {cfg.str('out')}")
+        write_csv(cfg["out"], ["mean"], mean[:, None])
+    print(f"predict wrote {len(mean)} rows to {cfg['out']}")
 
 
 def cmd_simulate(cluster, cfg):
-    prob = _make_problem(cluster, cfg, need_pred=cfg.bool("post", True))
-    r = cfg.int("r", 100)
-    sims = prob.simulate_realizations(r, post=cfg.bool("post", True))
-    write_csv(cfg.str("out"), [f"sim{k}" for k in range(1, r + 1)], sims)
-    print(f"simulate wrote {sims.shape[0]}x{sims.shape[1]} to {cfg.str('out')}")
+    post = cfg["post"]
+    prob = _make_problem(cluster, cfg, need_pred=post)
+    r = cfg["r"]
+    sims = prob.simulate_realizations(r, post=post)
+    write_csv(cfg["out"], [f"sim{k}" for k in range(1, r + 1)], sims)
+    print(f"simulate wrote {sims.shape[0]}x{sims.shape[1]} to {cfg['out']}")
 
 
 COMMANDS = {
@@ -227,7 +220,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="blockgp",
         description=__doc__,
-        epilog=CONFIG_KEYS,
+        epilog=KEYS_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("config", help="path to the key=value config file")
@@ -235,19 +228,20 @@ def main(argv=None):
                         help="config overrides applied after the file")
     args = parser.parse_args(argv)
 
-    theta_echo = None
     cluster = None
     try:
-        cfg = _Config(parse_config(args.config, args.overrides))
-        theta_echo = cfg.raw.get("theta0")
-        cluster = _spawn(cfg)
+        cfg = parse_config(args.config, args.overrides)
+        cluster = spawn(cfg["workers"], backend=cfg["backend"],
+                        seed=cfg["seed"], blas_threads=cfg["blas_threads"])
         COMMANDS[args.command](cluster, cfg)
         return 0
-    except (ConfigError, NotTriangularNumber) as exc:
+    except (ConfigError, NotTriangularNumber, DimensionMismatch,
+            UnsupportedSmoothness) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NotPositiveDefinite, SingularDiagonal, NonFiniteObjective) as exc:
-        print(f"numerical error at theta {theta_echo}: {exc}", file=sys.stderr)
+        theta = ",".join(map(repr, cfg["theta0"]))
+        print(f"numerical error at theta {theta}: {exc}", file=sys.stderr)
         return 3
     except (WorkerFailure, BackendUnavailable, ClusterDown) as exc:
         print(f"cluster failure: {exc}", file=sys.stderr)

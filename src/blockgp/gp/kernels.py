@@ -14,9 +14,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .. import registry
-from ..errors import UnsupportedSmoothness
+from ..errors import DimensionMismatch, UnsupportedSmoothness
 
 HALF_INTEGER_NU = (0.5, 1.5, 2.5)
+DEFAULT_NU = 0.5
 
 
 def matern_correlation(d, rho, nu):
@@ -72,29 +73,33 @@ def _sqexp_corr(params, inputs, X, Y):
 
 
 def _matern_corr(params, inputs, X, Y):
-    return matern_correlation(cdist(X, Y), params[1], inputs.get("nu", 0.5))
+    return matern_correlation(cdist(X, Y), params[1],
+                              inputs.get("nu", DEFAULT_NU))
 
 
 def _product_corr(params, inputs, X, Y):
     """One Matern per coordinate axis of 2-D points."""
     d1 = cdist(X[:, :1], Y[:, :1], "cityblock")
     d2 = cdist(X[:, 1:2], Y[:, 1:2], "cityblock")
-    return (matern_correlation(d1, params[1], inputs.get("nu1", 0.5)) *
-            matern_correlation(d2, params[2], inputs.get("nu2", 0.5)))
+    return (matern_correlation(d1, params[1], inputs.get("nu1", DEFAULT_NU)) *
+            matern_correlation(d2, params[2], inputs.get("nu2", DEFAULT_NU)))
 
 
 def _no_corr(params, inputs, X, Y):
     return np.zeros((len(X), len(Y)))
 
 
-# kernel id -> (theta length, correlation, generators that add theta[-1] where
-# the row and column index agree).  theta[0] is always the marginal variance.
+# kernel id -> (theta length, correlation, generators that add theta[-1]
+# where the row and column index agree, the smoothness inputs the correlation
+# reads, the coordinate columns it needs or None for any).  theta[0] is always
+# the marginal variance.
 _KERNELS = {
-    "sqexp": (2, _sqexp_corr, ()),                           # sigma2, rho
-    "matern": (2, _matern_corr, ()),                         # sigma2, rho
-    "matern-nugget": (3, _matern_corr, ("cov",)),            # + tau2
-    "matern-product-nugget": (4, _product_corr, ("cov",)),   # sigma2, rho1, rho2, tau2
-    "white": (1, _no_corr, ("cov", "pred")),                 # sigma2: pure noise
+    "sqexp": (2, _sqexp_corr, (), (), None),         # sigma2, rho
+    "matern": (2, _matern_corr, (), ("nu",), None),  # sigma2, rho
+    "matern-nugget": (3, _matern_corr, ("cov",), ("nu",), None),  # + tau2
+    "matern-product-nugget": (  # sigma2, rho1, rho2, tau2
+        4, _product_corr, ("cov",), ("nu1", "nu2"), 2),
+    "white": (1, _no_corr, ("cov", "pred"), (), None),  # sigma2: pure noise
 }
 
 # generator kind -> (row point set, column point set)
@@ -114,7 +119,7 @@ def _block_generator(corr, rows, cols, add_delta):
 
 
 def _register_builtins():
-    for kernel, (_, corr, delta_kinds) in _KERNELS.items():
+    for kernel, (_, corr, delta_kinds, _, _) in _KERNELS.items():
         for kind, (rows, cols) in _POINT_SETS.items():
             registry.register(f"gen.{kernel}.{kind}", _block_generator(
                 corr, rows, cols, kind in delta_kinds))
@@ -123,3 +128,30 @@ def _register_builtins():
 _register_builtins()
 
 BUILTIN_KERNELS = {kernel: spec[0] for kernel, spec in _KERNELS.items()}
+
+
+def _columns(points):
+    return points.shape[1] if points.ndim > 1 else 1
+
+
+def check_builtin_inputs(kernel, coords, pred_coords, inputs):
+    """Reject, on the master, inputs a built-in kernel's generators would
+    fail on or silently misread.  Reads shapes and scalars only, never the
+    point sets' values."""
+    if kernel not in _KERNELS:
+        raise DimensionMismatch(
+            f"unknown kernel {kernel!r}; built-ins: {sorted(_KERNELS)}")
+    _, _, _, smoothness, columns = _KERNELS[kernel]
+    for key in smoothness:
+        if inputs.get(key, DEFAULT_NU) not in HALF_INTEGER_NU:
+            raise UnsupportedSmoothness(
+                f"{key}={inputs[key]} not supported; use one of "
+                f"{HALF_INTEGER_NU}")
+    dim = _columns(coords)
+    if columns is not None and dim != columns:
+        raise DimensionMismatch(f"kernel {kernel!r} needs {columns}-column "
+                                f"coordinates, got {dim}")
+    if pred_coords is not None and _columns(pred_coords) != dim:
+        raise DimensionMismatch(
+            f"prediction points have {_columns(pred_coords)} coordinate "
+            f"columns, the data {dim}")

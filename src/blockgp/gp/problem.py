@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from .. import distla
 from ..errors import (BlockGPError, DimensionMismatch, NonFiniteObjective,
                       NotPositiveDefinite)
-from .kernels import BUILTIN_KERNELS
+from .kernels import BUILTIN_KERNELS, check_builtin_inputs
 
 log = logging.getLogger(__name__)
 
@@ -45,13 +45,13 @@ class CovarianceSpec:
 
 
 def builtin_spec(kernel, coords, pred_coords=None, **kernel_inputs):
-    """CovarianceSpec for a built-in kernel id (see BUILTIN_KERNELS)."""
-    if kernel not in BUILTIN_KERNELS:
-        raise DimensionMismatch(
-            f"unknown kernel {kernel!r}; built-ins: {sorted(BUILTIN_KERNELS)}")
+    """CovarianceSpec for a built-in kernel id (see BUILTIN_KERNELS); inputs
+    the kernel cannot use raise here (`check_builtin_inputs`)."""
     inputs = {"coords": np.asarray(coords, dtype=float)}
     if pred_coords is not None:
         inputs["pred_coords"] = np.asarray(pred_coords, dtype=float)
+    check_builtin_inputs(kernel, inputs["coords"], inputs.get("pred_coords"),
+                         kernel_inputs)
     inputs.update(kernel_inputs)
     return CovarianceSpec(
         cov_fn=f"gen.{kernel}.cov",

@@ -101,10 +101,11 @@ class BlockLayout:
         return slice(min((J - 1) * bs, self.n), min(J * bs, self.n))
 
 
-def default_h(n, D, target=DEFAULT_BLOCK_TARGET):
-    """Smallest h whose block size is at most `target` (ceil(n/(hD)) <= target)."""
+def default_h(n, D):
+    """Smallest h whose block size ceil(n/(hD)) is at most
+    DEFAULT_BLOCK_TARGET."""
     h = 1
-    while ceil(n / (h * D)) > target:
+    while ceil(n / (h * D)) > DEFAULT_BLOCK_TARGET:
         h += 1
     return h
 

@@ -24,7 +24,7 @@ from ..rng import RankStream
 RUNTIME_OBJECT = ".runtime"
 
 # phase labels used in message tags, in wire-encoding order
-PHASES = ("diag", "col", "ps", "x", "gen")
+PHASES = ("diag", "col", "ps", "x")
 
 
 @dataclass
@@ -266,12 +266,12 @@ class Cluster:
     def remote_ls(self, rank):
         return self._gather([rank], ("ls",))[0]
 
-    def remote_rm(self, names, targets=None):
-        """Remove one name, or a list of names, from each target in one
+    def remote_rm(self, names):
+        """Remove one name, or a list of names, from every worker in one
         dispatch; absent names are fine."""
         if isinstance(names, str):
             names = [names]
-        self._gather(targets or self._all(), ("rm", list(names)))
+        self._gather(self._all(), ("rm", list(names)))
 
     def remote_apply(self, fn_id, input_names, output_name):
         """output = fn(inputs...) on each worker's local pieces."""

@@ -1,12 +1,7 @@
-"""Acceptance suite: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance suite: nine end-to-end criteria, one pass/fail line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the criterion lines.
-Criterion 10 (performance smoke) records its measurement but never fails.
 """
-
-import json
-import os
-import time
 
 import numpy as np
 import pytest
@@ -304,31 +299,3 @@ def test_criterion_9_freshness():
     _report(9, "repeated log-density at unchanged theta issues zero "
             "collectives", ok)
 
-
-def test_criterion_10_performance_smoke():
-    """Non-gating: record the P=6 vs P=1 factorization time ratio."""
-    threads = os.cpu_count() or 1
-    if threads < 6:
-        _report(10, "performance smoke (non-gating)", True,
-                f"recorded: skipped, only {threads} hardware thread(s)")
-        return
-    n = 3072
-    A = spd_matrix(n, seed=10)
-    times = {}
-    for P in (1, 6):
-        best = np.inf
-        for h in (1, 2, 3):
-            cl = spawn(P, seed=1)
-            try:
-                layout = distla.make_layout(n, cl.grid, h=h)
-                C = distla.distribute(cl, "p.C", A, "triangular", layout)
-                t0 = time.perf_counter()
-                distla.distributed_cholesky(cl, C, "p.L")
-                best = min(best, time.perf_counter() - t0)
-            finally:
-                cl.shutdown()
-        times[P] = best
-    ratio = times[1] / times[6]
-    _report(10, "performance smoke (non-gating)", True,
-            f"recorded: P=1 {times[1]:.2f}s, P=6 {times[6]:.2f}s, "
-            f"speedup {ratio:.2f}x (target 1.8x)")

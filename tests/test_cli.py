@@ -40,6 +40,9 @@ def workdir(tmp_path):
     y = np.sin(coords) + 0.1 * rng.standard_normal(25)
     write_data(tmp_path / "data.csv", coords, y)
     write_data(tmp_path / "grid.csv", np.linspace(1, 9, 6))
+    np.savetxt(tmp_path / "plane.csv",
+               np.column_stack([rng.uniform(0, 10, (25, 2)), y]),
+               delimiter=",", header="x1,x2,y", comments="")
     write_config(tmp_path / "job.cfg", workers=3, seed=1,
                  kernel="matern-nugget", theta0="1.0,2.0,0.1",
                  data=tmp_path / "data.csv", pred_grid=tmp_path / "grid.csv")
@@ -222,57 +225,65 @@ class TestExitCodes:
                          f"pred_grid={workdir / 'data.csv'}",
                          f"out={workdir / 'p.csv'}"]) == 2
 
+    @pytest.mark.parametrize("command, overrides, named", [
+        ("predict", ["se_fti=true"], "'se_fti'"),
+        ("loglik", ["worker=6"], "'worker'"),
+        ("loglik", ["kernel=matern-product-nugget",
+                    "theta0=1.0,2.0,2.0,0.1"], "2-column"),
+        ("loglik", ["nu=0.7"], "nu=0.7"),
+        ("predict", ["data={dir}/plane.csv"], "coordinate columns"),
+        ("loglik", ["h=0"], "h=0"),
+        ("simulate", ["r=0"], "n=0"),
+    ], ids=["misspelt-key", "misspelt-workers", "product-kernel-on-1-d",
+            "unsupported-nu", "grid-dimension", "h-zero", "r-zero"])
+    def test_input_mistake_exits_2(self, workdir, capsys, command, overrides,
+                                   named):
+        argv = [command, str(workdir / "job.cfg"), f"out={workdir / 'o'}"]
+        assert cli.main(argv + [o.format(dir=workdir)
+                                for o in overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert "Traceback" not in err
 
-def _with_loop_bindings(node, bound=None):
-    """Each node of the tree with the iterables its enclosing loops and
-    comprehensions bind to their names."""
-    bound = dict(bound or {})
-    loops = (node.generators if isinstance(node, (
-        ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
-        else [node] if isinstance(node, ast.For) else [])
-    bound.update((loop.target.id, loop.iter) for loop in loops
-                 if isinstance(loop.target, ast.Name))
-    yield node, bound
-    for child in ast.iter_child_nodes(node):
-        yield from _with_loop_bindings(child, bound)
+    def test_unknown_key_in_file_names_its_line(self, workdir, capsys):
+        with open(workdir / "job.cfg", "a") as f:
+            f.write("maxevals = 10\n")
+        assert cli.main(["loglik", str(workdir / "job.cfg")]) == 2
+        assert "job.cfg:8: unknown config key 'maxevals'" in \
+            capsys.readouterr().err
 
-
-def _keys_read_by_cli():
-    """Every config key cli.py reads, from its source: the string argument
-    of a `cfg.<getter>(...)` or `cfg.raw.get(...)` call, or, where that
-    argument is a loop variable, each string of the tuple it runs over."""
-    keys = set()
-    for node, bound in _with_loop_bindings(
-            ast.parse(inspect.getsource(cli))):
-        if not (isinstance(node, ast.Call) and node.args
-                and isinstance(node.func, ast.Attribute)
-                and ast.unparse(node.func.value) in ("cfg", "cfg.raw")):
-            continue
-        arg = node.args[0]
-        if isinstance(arg, ast.Name):
-            arg = bound[arg.id]
-        keys.update(ast.literal_eval(arg) if isinstance(arg, ast.Tuple)
-                    else [ast.literal_eval(arg)])
-    return keys
-
-
-def _keys_listed():
-    """The keys CONFIG_KEYS documents: each indented line starts with one
-    key, or a comma-separated group of keys, then two or more spaces."""
-    listed = set()
-    for line in cli.CONFIG_KEYS.splitlines():
-        if line.startswith("  "):
-            names = re.split(r"\s{2,}", line.strip())[0]
-            listed.update(name.strip() for name in names.split(","))
-    return listed
+    def test_unparsable_value_names_its_key(self, workdir, capsys):
+        assert cli.main(["loglik", str(workdir / "job.cfg"),
+                         "post=maybe"]) == 2
+        assert "bad value for 'post': 'maybe'" in capsys.readouterr().err
 
 
 def test_help_documents_config_keys(capsys):
-    read, listed = _keys_read_by_cli(), _keys_listed()
+    """cli.py reads config keys only as cfg["literal"], and the keys it reads
+    are the table's; --help lists every table key with its default, and
+    every default parses."""
+    tree = ast.parse(inspect.getsource(cli))
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and ast.unparse(node.value) == "cfg"]
+    read = {ast.literal_eval(node.slice) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and ast.unparse(node.value) == "cfg"}
     assert {"workers", "seed", "theta0", "nu", "blas_threads"} <= read
-    assert read == listed
+    assert read == set(cli.KEYS)
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
-    out = capsys.readouterr().out
-    assert [key for key in sorted(listed) if key not in out] == []
+    epilog = capsys.readouterr().out.split("Config file format:")[1]
+    entries = re.split(r"\n  (?=\S)", epilog)[1:]
+    assert [entry.split()[0] for entry in entries] == list(cli.KEYS)
+    for entry, (parse, default, _) in zip(entries, cli.KEYS.values()):
+        if default is cli.REQUIRED:
+            shown = "required"
+        elif default is None:
+            shown = "default unset"
+        else:
+            shown = f"default {default}"
+            parse(default)
+        assert " ".join(entry.split()).endswith(f"({shown})"), entry

@@ -738,6 +738,25 @@ class TestBuiltinSpecs:
         with pytest.raises(DimensionMismatch):
             builtin_spec("cubic", [0.0])
 
+    @pytest.mark.parametrize("kernel, coords, pred, inputs, error", [
+        ("matern", 5, None, {"nu": 0.7}, UnsupportedSmoothness),
+        ("matern-nugget", 5, 3, {"nu": 1.0}, UnsupportedSmoothness),
+        ("matern-product-nugget", (5, 2), None, {"nu2": 3.5},
+         UnsupportedSmoothness),
+        ("matern-product-nugget", 5, None, {}, DimensionMismatch),
+        ("matern-product-nugget", (5, 3), None, {}, DimensionMismatch),
+        ("matern-product-nugget", (5, 2), 3, {}, DimensionMismatch),
+        ("sqexp", (5, 2), (3, 1), {}, DimensionMismatch),
+        ("white", 5, (3, 2), {}, DimensionMismatch),
+    ])
+    def test_inputs_checked_on_the_master(self, kernel, coords, pred, inputs,
+                                          error):
+        """Each of these failed only inside a generator on a worker, or
+        built a model that ignored part of its inputs."""
+        with pytest.raises(error):
+            builtin_spec(kernel, np.zeros(coords),
+                         None if pred is None else np.zeros(pred), **inputs)
+
     def test_parameter_counts(self):
         assert BUILTIN_KERNELS == {"sqexp": 2, "matern": 2,
                                    "matern-nugget": 3,

@@ -358,25 +358,30 @@ def test_socket_spawn_rejects_bad_seed_at_once():
     assert isinstance(exc, ConfigError), exc
 
 
-@pytest.mark.slow
-def test_socket_spawn_fails_fast_when_a_worker_exits(monkeypatch):
+def _replace_rank_two(monkeypatch, *args):
+    """Start rank 2 as `python ARGS... PORT` in place of its worker, through
+    a stand-in for `subprocess` in socketbackend; returns the list the
+    started processes are appended to."""
     started = []
 
-    class RankTwoExits:
-        """Stands in for `subprocess` in socketbackend: rank 2 exits with
-        code 3 before it connects."""
-
+    class RankTwoReplaced:
         def __getattr__(self, name):
             return getattr(subprocess, name)
 
         @staticmethod
         def Popen(cmd, **kwargs):
             if cmd[4] == "2":  # python -m MODULE PORT RANK D SEED
-                cmd = [cmd[0], "-c", "raise SystemExit(3)"]
+                cmd = [cmd[0], *args, cmd[3]]
             started.append(subprocess.Popen(cmd, **kwargs))
             return started[-1]
 
-    monkeypatch.setattr(socketbackend, "subprocess", RankTwoExits())
+    monkeypatch.setattr(socketbackend, "subprocess", RankTwoReplaced())
+    return started
+
+
+@pytest.mark.slow
+def test_socket_spawn_fails_fast_when_a_worker_exits(monkeypatch):
+    started = _replace_rank_two(monkeypatch, "-c", "raise SystemExit(3)")
     exc = _raised_within(10, spawn, 3, "multi-process-socket", 0, 1)
     assert isinstance(exc, BackendUnavailable), exc
     assert "rank 2" in str(exc) and "code 3" in str(exc)
@@ -400,6 +405,37 @@ def test_socket_undecodable_frame_is_attributed(cluster_factory):
     exc = _raised_within(10, distla.sum_squares, cl, x)
     assert isinstance(exc, WorkerFailure), exc
     assert exc.rank == 2
+
+
+# Rank 2's stand-in: a valid hello, then a frame of wire version 99; it then
+# stays connected until the master's shutdown command.
+_UNDECODABLE_AFTER_HELLO = """
+import socket, sys
+from blockgp.transport import wire
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+sock.sendall(wire.encode_control({"kind": "hello", "rank": 2}))
+frame = bytearray(wire.encode_control({"kind": "result", "rank": 2}))
+frame[4] = 99
+sock.sendall(frame)
+while (body := wire.read_frame(sock)) is not None:
+    if wire.decode_body(body)[1].get("cmd") == ("shutdown",):
+        break
+"""
+
+
+@pytest.mark.slow
+def test_socket_undecodable_frame_from_a_worker_is_attributed(monkeypatch):
+    started = _replace_rank_two(monkeypatch, "-c", _UNDECODABLE_AFTER_HELLO)
+    cl = spawn(3, "multi-process-socket", 0, 1)
+    try:
+        exc = _raised_within(10, cl.remote_ls, 2)
+    finally:
+        cl.shutdown()
+    assert isinstance(exc, WorkerFailure), exc
+    assert exc.rank == 2
+    assert "unsupported wire version 99" in str(exc)
+    assert len(started) == 3
+    assert all(proc.poll() is not None for proc in started)
 
 
 def _nodelay_on(sock):
