@@ -125,12 +125,18 @@ def read_csv_table(path, require_y):
     if len(rows) < 2:
         raise ConfigError(f"{path}: need a header row and at least one row")
     header = [h.strip() for h in rows[0]]
-    try:
-        table = np.array([[float(v) for v in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric cell: {exc}") from exc
-    if table.shape[1] != len(header):
-        raise ConfigError(f"{path}: ragged rows")
+    table = np.empty((len(rows) - 1, len(header)))
+    for k, row in enumerate(rows[1:]):
+        where = f"{path}:{k + 2}"
+        if len(row) != len(header):
+            raise ConfigError(f"{where}: ragged row: {len(row)} cells, "
+                              f"header has {len(header)}")
+        try:
+            table[k] = [float(v) for v in row]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: non-numeric cell: {exc}") from exc
+        if not np.all(np.isfinite(table[k])):
+            raise ConfigError(f"{where}: non-finite cell (nan or inf)")
     if require_y:
         if header[-1] != "y":
             raise ConfigError(f"{path}: last column must be 'y', "
@@ -176,16 +182,16 @@ def cmd_loglik(cluster, cfg):
 def cmd_fit(cluster, cfg):
     prob = _make_problem(cluster, cfg, need_pred=False)
     res = prob.optimize_log_dens(max_evals=cfg["max_evals"])
-    doc = {"theta": list(res.theta),
+    doc = {"theta": res.theta.tolist(),
            "log_density": res.log_density,
            "converged": res.converged,
            "n_evals": res.n_evals,
-           "trace": [{"theta": list(t), "log_density": ll}
+           "trace": [{"theta": t.tolist(), "log_density": ll}
                      for t, ll in res.trace]}
     with open(cfg["out"], "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    print(f"fit theta {list(res.theta)} log_density {res.log_density!r}")
+    print(f"fit theta {doc['theta']} log_density {res.log_density!r}")
 
 
 def cmd_predict(cluster, cfg):

@@ -48,19 +48,16 @@ def _run_into(cluster, written, fn_id, **kwargs):
 
 
 def construct_distributed(cluster, name, kind, generator, params,
-                          inputs_name=None, row_layout=None, col_layout=None,
-                          diagonal=False):
+                          inputs_name=None, row_layout=None, col_layout=None):
     """Distributed construction from a registered block generator.
 
-    With `diagonal` the object is the vector diagonal of a square matrix
-    generator, evaluated on its diagonal blocks only.
+    A vector is the diagonal of a square generator, evaluated on its
+    diagonal blocks only.
     """
-    if diagonal and kind != "vector":
-        raise DimensionMismatch("a diagonal is constructed as a vector")
     _run_into(cluster, name, "distla.construct", name=name, kind=kind,
               generator=generator, params=np.asarray(params, dtype=float),
               inputs_name=inputs_name, row_layout=row_layout,
-              col_layout=col_layout, diagonal=diagonal)
+              col_layout=col_layout)
     return _handle(kind, name, row_layout, col_layout)
 
 

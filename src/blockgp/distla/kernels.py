@@ -55,12 +55,12 @@ def _store_owned(ctx, name, kind, row_layout, col_layout, values):
 
 @registry.register("distla.construct")
 def construct(ctx, name, kind, generator, params, inputs_name,
-              row_layout, col_layout=None, diagonal=False):
+              row_layout, col_layout=None):
     """Fill owned blocks by calling a block generator once per block with
-    the 1-based global indices of its live rows (and columns).
+    the 1-based global indices of its live rows and columns.
 
-    With `diagonal`, a vector holds the diagonal of a matrix generator,
-    which is called on the diagonal blocks (J, J) only.
+    A vector holds the diagonal of a square generator, which is called on
+    the diagonal blocks (J, J) only.
     """
     gen = registry.lookup(generator)
     inputs = ctx.fetch(inputs_name) if inputs_name else None
@@ -72,17 +72,11 @@ def construct(ctx, name, kind, generator, params, inputs_name,
         return np.arange(k.start + 1, k.stop + 1)
 
     def values(key):
-        if kind == "vector":
-            i = indices(key, row_layout)
-            if not diagonal:
-                return _generate(ctx, gen, (len(i),), params, inputs, i)
-            ctx.log_event("construct", key, key)
-            return np.diag(_generate(ctx, gen, (len(i), len(i)), params,
-                                     inputs, i, i))
-        I, J = key
+        I, J = (key, key) if kind == "vector" else key
         i, j = indices(I, row_layout), indices(J, cl)
         ctx.log_event("construct", I, J)
-        return _generate(ctx, gen, (len(i), len(j)), params, inputs, i, j)
+        block = _generate(ctx, gen, (len(i), len(j)), params, inputs, i, j)
+        return np.diag(block) if kind == "vector" else block
     _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
@@ -400,23 +394,3 @@ def collect_blocks(ctx, name, diagonal_only=False, release=False):
                 for k, v in piece.blocks.items()}
     return {I: np.diag(block).copy()
             for (I, J), block in piece.blocks.items() if I == J}
-
-
-# ---------------------------------------------------------------------------
-# elementwise helpers used through remote_apply
-
-def _blockwise(op, a, b=None):
-    if isinstance(a, LocalPiece):
-        if b is None:
-            blocks = {k: op(v) for k, v in a.blocks.items()}
-        else:
-            if not isinstance(b, LocalPiece) or set(a.blocks) != set(b.blocks):
-                raise DimensionMismatch("local pieces do not align")
-            blocks = {k: op(v, b.blocks[k]) for k, v in a.blocks.items()}
-        return LocalPiece(a.kind, a.row_layout, a.col_layout, blocks)
-    return op(a) if b is None else op(a, b)
-
-
-registry.register("negate", lambda a: _blockwise(np.negative, a))
-registry.register("add", lambda a, b: _blockwise(np.add, a, b))
-registry.register("sub", lambda a, b: _blockwise(np.subtract, a, b))

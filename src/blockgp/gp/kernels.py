@@ -1,9 +1,10 @@
 """Covariance kernels and the built-in block generators.
 
-A matrix generator is called once per block as `gen(params, inputs, i, j)`,
-where `i` and `j` are the 1-based global row and column indices of the
-block's live part, and returns the len(i) x len(j) block.  A vector
-generator `gen(params, inputs, i)` returns len(i) values.
+A generator is called once per block as `gen(params, inputs, i, j)`, where
+`i` and `j` are the 1-based global row and column indices of the block's
+live part, and returns the len(i) x len(j) block; a vector is built as the
+diagonal of a square generator's diagonal blocks.  Means are not generators:
+they are master-side callables of a CovarianceSpec.
 
 Matern smoothness is restricted to the half-integer values 1/2, 3/2, 5/2,
 which have closed forms; distances are scaled by sqrt(2*nu)/rho so that
@@ -45,13 +46,6 @@ def _points(inputs, key, idx):
     """Rows idx (1-based) of a point set, as a 2-D array."""
     pts = np.asarray(inputs[key], dtype=float)
     return (pts[:, None] if pts.ndim == 1 else pts)[idx - 1]
-
-
-def _zero_mean(params, inputs, i):
-    return np.zeros(len(i))
-
-
-registry.register("gen.zero", _zero_mean)
 
 
 @registry.register("gen.delta")

@@ -1,16 +1,18 @@
 """The kriging engine: likelihood, MLE, prediction, and simulation.
 
-A KrigeProblem keeps only metadata and collected small results on the master;
-mean vectors, covariance matrices, Cholesky factors, and solved systems stay
-distributed under a per-problem name prefix.  One state slot records the
-single theta the distributed objects were built for, so repeated calls at
-that theta issue no distributed work beyond fresh random draws.
+A KrigeProblem keeps the observations, the O(n) and O(m) prior means and
+collected small results on the master; covariance matrices, Cholesky
+factors, and solved systems stay distributed under a per-problem name
+prefix.  One state slot records the single theta the distributed objects
+were built for, so repeated calls at that theta issue no distributed work
+beyond fresh random draws.
 """
 
 import logging
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,17 +31,21 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class CovarianceSpec:
     """Declarative mean/covariance description for one problem.
 
-    All five generators are registry ids sharing one theta layout; `inputs`
-    is pushed to the workers once and handed to every generator call.
-    Standard errors evaluate `pred_cov_fn` on the diagonal blocks of the
-    prediction layout only, and keep its diagonal as the prior variances.
+    The three covariance generators are registry ids sharing one theta
+    layout, called block by block on the workers; `inputs` is pushed to the
+    workers once and handed to every generator call.  Standard errors
+    evaluate `pred_cov_fn` on the diagonal blocks of the prediction layout
+    only, and keep its diagonal as the prior variances.  The means run on
+    the master only: `mean_fn(theta, inputs)` returns the n values at the
+    observations and `pred_mean_fn(theta, inputs)` the m values at the
+    prediction points; None is a zero mean.
     """
 
     cov_fn: str
     cross_cov_fn: str
     pred_cov_fn: str
-    mean_fn: str = "gen.zero"
-    pred_mean_fn: str = "gen.zero"
+    mean_fn: Optional[Callable] = None
+    pred_mean_fn: Optional[Callable] = None
     inputs: dict = field(default_factory=dict)
     n_params: int = 1
 
@@ -73,18 +79,23 @@ class OptResult:
 class KrigeProblem:
     """Master-side metadata and drivers for one GP regression problem.
 
-    The workers hold the derived objects of one theta under fixed names,
-    and `_state` is the one slot saying which theta that is and how far it
-    has been built, with what was collected from the workers:
-      - "ll": L, mu and u exist (any successful call);
-      - "prior_mean": mu, collected by the first unconditional simulation;
+    `y` and the prior means stay on the master.  The workers hold the
+    derived objects of one theta under fixed names, and `_state` is the one
+    slot saying which theta that is and how far it has been built, with
+    what was computed on the master:
+      - "ll": L and u = L^{-1}(y - mu) exist (any successful call), and
+        "mu" is the prior mean at the observations;
       - "pred_mean": V exists too (predict, prediction_variance, simulate);
       - "se2": the prediction variances, kept on the master;
       - "LSigma": the posterior factor LSigma exists too.
-    Besides these only `inputs` and `y` stay on the workers: C, the
+    Besides these only `inputs` stays on the workers: C, the
     cross-covariance and Sigma are consumed in place by the objects built
     from them, and every other result is released as it is collected.
     """
+
+    # every name a problem makes on the workers, as suffixes of its own name
+    _NAMES = ("inputs", "C", "L", "u", "V", "w", "pv", "vtv_diag", "Sigma",
+              "LSigma", "Z")
 
     def __init__(self, cluster, name, spec, y, theta0, m=0,
                  h_n=None, h_m=None, h_r=None):
@@ -92,6 +103,12 @@ class KrigeProblem:
         self.name = name
         self.spec = spec
         self.y = np.asarray(y, dtype=float)
+        if self.y.ndim != 1:
+            raise DimensionMismatch(f"y must be 1-D, got shape {self.y.shape}")
+        for fn in (spec.mean_fn, spec.pred_mean_fn):
+            if fn is not None and not callable(fn):
+                raise TypeError(f"a mean must be a callable fn(theta, inputs) "
+                                f"or None, got {fn!r}")
         self.n = len(self.y)
         self.m = int(m)
         self.theta = self._check_theta(theta0)
@@ -101,12 +118,9 @@ class KrigeProblem:
         self.col_layout = (distla.make_layout(self.m, grid, h_m)
                            if self.m > 0 else None)
         cluster.push(self._nm("inputs"), spec.inputs)
-        self._y = distla.distribute(cluster, self._nm("y"), self.y, "vector",
-                                    self.row_layout)
         rows, cols = self.row_layout, self.col_layout
         self._L = distla.DistTriangular(self._nm("L"), rows)
         self._u = distla.DistVector(self._nm("u"), rows)
-        self._mu = distla.DistVector(self._nm("mu"), rows)
         self._V = distla.DistRectangular(self._nm("V"), rows, cols)
         self._state = {}
 
@@ -134,58 +148,67 @@ class KrigeProblem:
         if self.m <= 0:
             raise DimensionMismatch("problem has no prediction points")
 
-    def _construct(self, suffix, kind, generator, theta, rows, cols=None,
-                   diagonal=False):
+    def _mean(self, fn, theta, size):
+        """fn(theta, inputs), checked to be `size` values; zeros for None."""
+        if fn is None:
+            return np.zeros(size)
+        mean = np.asarray(fn(theta, self.spec.inputs), dtype=float)
+        if mean.shape != (size,):
+            raise DimensionMismatch(f"mean function returned shape "
+                                    f"{mean.shape}, expected ({size},)")
+        return mean
+
+    def _construct(self, suffix, kind, generator, theta, rows, cols=None):
         return distla.construct_distributed(
             self.cluster, self._nm(suffix), kind, generator, theta,
-            inputs_name=self._nm("inputs"), row_layout=rows, col_layout=cols,
-            diagonal=diagonal)
+            inputs_name=self._nm("inputs"), row_layout=rows, col_layout=cols)
 
     def _remove(self, keep=()):
-        """Remove this problem's objects, except `keep`, from every worker."""
-        keep = {self._nm(suffix) for suffix in keep}
-        names = {obj for rank in range(1, self.cluster.P + 1)
-                 for obj in self.cluster.remote_ls(rank)
-                 if obj.startswith(self._nm("")) and obj not in keep}
-        if names:
-            self.cluster.remote_rm(sorted(names))
+        """Remove this problem's objects, except `keep`, from every worker in
+        one dispatch."""
+        self.cluster.remote_rm([self._nm(suffix) for suffix in self._NAMES
+                                if suffix not in keep])
 
     @contextmanager
     def _clean_failure(self):
-        """A failed call leaves no theta current and no derived object on
-        the workers, so nothing half-built is reused or left behind."""
+        """Worker work that fails leaves no theta current and no derived
+        object on the workers, so nothing half-built is reused or left
+        behind.  The means are evaluated before it starts, so a failing
+        mean changes nothing."""
         try:
             yield
         except BlockGPError:
             self._state = {}
             with suppress(BlockGPError):  # the cluster itself may be down
-                self._remove(keep=("inputs", "y"))
+                self._remove(keep=("inputs",))
             raise
 
     # -- the state slot ----------------------------------------------------
     def _ensure_chol(self, theta):
-        """L, u and mu built for theta on the workers; returns the slot."""
+        """L and u = L^{-1}(y - mu) built for theta on the workers, mu kept
+        on the master; returns the slot."""
         fp = theta.tobytes()
         if self._state.get("fp") == fp:
             return self._state
-        if "pred_mean" in self._state:
-            # the old theta's m-sized objects go before any new one is built;
-            # L, mu and u are overwritten as they are rebuilt
-            self.cluster.remote_rm([self._V.name, self._nm("LSigma")])
-        self._state = {}
-        cov = self._construct("C", "triangular", self.spec.cov_fn, theta,
-                              self.row_layout)
-        self._construct("mu", "vector", self.spec.mean_fn, theta,
-                        self.row_layout)
-        distla.distributed_cholesky(self.cluster, cov, self._L.name)
-        self.cluster.remote_apply("sub", [self._y.name, self._mu.name],
-                                  self._u.name)
-        distla.triangular_solve(self.cluster, self._L, self._u, self._u.name,
-                                side="forward")
-        logdet = distla.log_det_from_chol(self.cluster, self._L)
-        ssq = distla.sum_squares(self.cluster, self._u)
-        self._state = {"fp": fp, "ll": (-0.5 * self.n * LOG_2PI
-                                        - 0.5 * logdet - 0.5 * ssq)}
+        mu = self._mean(self.spec.mean_fn, theta, self.n)
+        with self._clean_failure():
+            if "pred_mean" in self._state:
+                # the old theta's m-sized objects go before any new one is
+                # built; L and u are overwritten as they are rebuilt
+                self.cluster.remote_rm([self._V.name, self._nm("LSigma")])
+            self._state = {}
+            cov = self._construct("C", "triangular", self.spec.cov_fn, theta,
+                                  self.row_layout)
+            distla.distributed_cholesky(self.cluster, cov, self._L.name)
+            resid = distla.distribute(self.cluster, self._u.name, self.y - mu,
+                                      "vector", self.row_layout)
+            distla.triangular_solve(self.cluster, self._L, resid,
+                                    self._u.name, side="forward")
+            logdet = distla.log_det_from_chol(self.cluster, self._L)
+            ssq = distla.sum_squares(self.cluster, self._u)
+            self._state = {"fp": fp, "mu": mu,
+                           "ll": -0.5 * self.n * LOG_2PI - 0.5 * logdet
+                           - 0.5 * ssq}
         return self._state
 
     def _ensure_prediction_basis(self, theta):
@@ -193,16 +216,16 @@ class KrigeProblem:
         state = self._ensure_chol(theta)
         if "pred_mean" in state:
             return state
-        cross = self._construct("V", "rectangular", self.spec.cross_cov_fn,
-                                theta, self.row_layout, self.col_layout)
-        distla.triangular_solve(self.cluster, self._L, cross, self._V.name,
-                                side="forward")
-        mu_pred = self._construct("mu_pred", "vector", self.spec.pred_mean_fn,
-                                  theta, self.col_layout)
-        w = distla.crossprod_mat_vec(self.cluster, self._V, self._u,
-                                     self._nm("w"))
-        state["pred_mean"] = (distla.collect(self.cluster, mu_pred, True)
-                              + distla.collect(self.cluster, w, True))
+        pred_mu = self._mean(self.spec.pred_mean_fn, theta, self.m)
+        with self._clean_failure():
+            cross = self._construct("V", "rectangular", self.spec.cross_cov_fn,
+                                    theta, self.row_layout, self.col_layout)
+            distla.triangular_solve(self.cluster, self._L, cross,
+                                    self._V.name, side="forward")
+            w = distla.crossprod_mat_vec(self.cluster, self._V, self._u,
+                                         self._nm("w"))
+            state["pred_mean"] = pred_mu + distla.collect(self.cluster, w,
+                                                          True)
         return state
 
     def _ensure_posterior_factor(self, theta):
@@ -210,14 +233,15 @@ class KrigeProblem:
         state = self._ensure_prediction_basis(theta)
         if "LSigma" in state:
             return state
-        sigma = self._posterior_cov(theta)
-        try:
-            state["LSigma"], _ = distla.distributed_cholesky(
-                self.cluster, sigma, self._nm("LSigma"))
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                exc.block_index,
-                "posterior covariance not numerically PD") from exc
+        with self._clean_failure():
+            sigma = self._posterior_cov(theta)
+            try:
+                state["LSigma"], _ = distla.distributed_cholesky(
+                    self.cluster, sigma, self._nm("LSigma"))
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(
+                    exc.block_index,
+                    "posterior covariance not numerically PD") from exc
         return state
 
     def _posterior_cov(self, theta):
@@ -231,14 +255,14 @@ class KrigeProblem:
     def log_density(self, theta=None):
         """Gaussian log likelihood at theta (defaults to the current vector)."""
         theta = self.theta if theta is None else self._check_theta(theta)
-        with self._clean_failure():
-            ll = self._ensure_chol(theta)["ll"]
+        ll = self._ensure_chol(theta)["ll"]
         self.theta = theta
         return ll
 
     def close(self):
-        """Remove this problem's `name.*` objects from every worker; a later
-        call then fails on the missing inputs instead of reusing a result."""
+        """Remove this problem's objects from every worker in one dispatch;
+        a later call then fails on the missing inputs instead of reusing a
+        result."""
         self._state = {}
         self._remove()
 
@@ -281,9 +305,9 @@ class KrigeProblem:
     def predict(self, se_fit=False):
         """Kriging means at the prediction points (and standard errors)."""
         self._check_grid()
-        with self._clean_failure():
-            state = self._ensure_prediction_basis(self.theta)
-            if se_fit and "se2" not in state:
+        state = self._ensure_prediction_basis(self.theta)
+        if se_fit and "se2" not in state:
+            with self._clean_failure():
                 state["se2"] = self._prediction_variances()
         if not se_fit:
             return state["pred_mean"].copy()
@@ -293,7 +317,7 @@ class KrigeProblem:
         """diag(C_pred) - diag(V^T V), clamped at zero; the prediction
         covariance is evaluated on its diagonal blocks only."""
         pv = self._construct("pv", "vector", self.spec.pred_cov_fn,
-                             self.theta, self.col_layout, diagonal=True)
+                             self.theta, self.col_layout)
         prior_var = distla.collect(self.cluster, pv, True)
         vtv = distla.crossprod_self_diag(self.cluster, self._V,
                                          self._nm("vtv_diag"))
@@ -307,8 +331,8 @@ class KrigeProblem:
     def prediction_variance(self):
         """Full posterior covariance at the prediction points (dense, symmetric)."""
         self._check_grid()
+        self._ensure_prediction_basis(self.theta)
         with self._clean_failure():
-            self._ensure_prediction_basis(self.theta)
             sigma = self._posterior_cov(self.theta)
             lower = distla.collect(self.cluster, sigma, True)
         return lower + np.tril(lower, -1).T
@@ -325,16 +349,11 @@ class KrigeProblem:
         r_layout = distla.make_layout(int(r), self.cluster.grid, self.h_r)
         if post:
             self._check_grid()
+            state = self._ensure_posterior_factor(self.theta)
+            factor, base = state["LSigma"], state["pred_mean"]
+        else:
+            factor, base = self._L, self._ensure_chol(self.theta)["mu"]
         with self._clean_failure():
-            if post:
-                state = self._ensure_posterior_factor(self.theta)
-                factor, base = state["LSigma"], state["pred_mean"]
-            else:
-                state = self._ensure_chol(self.theta)
-                if "prior_mean" not in state:
-                    state["prior_mean"] = distla.collect(self.cluster,
-                                                         self._mu)
-                factor, base = self._L, state["prior_mean"]
             z = distla.construct_rnorm_distributed(
                 self.cluster, self._nm("Z"), "rectangular", factor.layout,
                 r_layout, fill=fill)

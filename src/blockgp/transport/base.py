@@ -248,10 +248,9 @@ class Cluster:
         self.stats["collectives"] += 1
         return self._gather(self._all(), ("collective", self.epoch, fn_id, kwargs))
 
-    def push(self, name, value, targets=None):
-        """Store a copy of value under name on each target, in one dispatch."""
-        self.scatter(name, {t: copy_payload(value)
-                            for t in targets or self._all()})
+    def push(self, name, value):
+        """Store a copy of value under name on every rank, in one dispatch."""
+        self.scatter(name, {t: copy_payload(value) for t in self._all()})
 
     def scatter(self, name, per_rank_values):
         """Store a different value under the same name on each rank, in one
@@ -273,13 +272,6 @@ class Cluster:
             names = [names]
         self._gather(self._all(), ("rm", list(names)))
 
-    def remote_apply(self, fn_id, input_names, output_name):
-        """output = fn(inputs...) on each worker's local pieces."""
-        if isinstance(input_names, str):
-            input_names = [input_names]
-        self.run("core.apply", op_id=fn_id, input_names=list(input_names),
-                 output_name=output_name)
-
     def set_events(self, enabled):
         self._gather(self._all(), ("set_events", bool(enabled)))
 
@@ -295,10 +287,3 @@ class Cluster:
             self.state = "shutting-down"
             self._stop()
             self.state = "shutdown"
-
-
-@registry.register("core.apply")
-def _apply(ctx, op_id, input_names, output_name):
-    fn = registry.lookup(op_id)
-    inputs = [ctx.fetch(n) for n in input_names]
-    ctx.store[output_name] = fn(*inputs)

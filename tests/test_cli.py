@@ -81,6 +81,14 @@ class TestFit:
         assert doc["log_density"] == max(t["log_density"]
                                          for t in doc["trace"])
 
+    def test_prints_theta_as_plain_floats(self, workdir, capsys):
+        assert cli.main(["fit", str(workdir / "job.cfg"),
+                         f"out={workdir / 'fit.json'}", "max_evals=0"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads((workdir / "fit.json").read_text())
+        assert out.startswith(f"fit theta {doc['theta']!r} log_density ")
+        assert "np." not in out
+
 
 class TestPredict:
     def test_csv_round_trip_exact(self, workdir):
@@ -244,6 +252,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_its_line(self, workdir, capsys, cell):
+        write_data(workdir / "data.csv", [0.0, 1.0, 2.0],
+                   [0.5, float(cell), 0.1])
+        assert cli.main(["loglik", str(workdir / "job.cfg")]) == 2
+        assert "data.csv:3: non-finite cell" in capsys.readouterr().err
+
+    def test_short_row_is_ragged_with_its_line(self, workdir, capsys):
+        with open(workdir / "data.csv", "a") as f:
+            f.write("4.5\n")
+        assert cli.main(["loglik", str(workdir / "job.cfg")]) == 2
+        assert "data.csv:27: ragged row: 1 cells, header has 2" in \
+            capsys.readouterr().err
 
     def test_unknown_key_in_file_names_its_line(self, workdir, capsys):
         with open(workdir / "job.cfg", "a") as f:

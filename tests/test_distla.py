@@ -34,8 +34,8 @@ def _wrong_shape_last_row(params, inputs, i, j):
     return np.zeros((len(i), len(j) + extra))
 
 
-@registry.register("test.scalar_vector")
-def _scalar_vector(params, inputs, i):
+@registry.register("test.scalar_block")
+def _scalar_block(params, inputs, i, j):
     return 1.0
 
 
@@ -138,7 +138,7 @@ class TestConstruct:
         layout = _layout(cl, 11, h)  # padded for every h here
         cl.set_events(True)
         d = distla.construct_distributed(cl, "d", "vector", "test.full_block",
-                                         [], row_layout=layout, diagonal=True)
+                                         [], row_layout=layout)
         assert sorted((I, J) for _, _, _, I, J in cl.drain_events()) == \
             [(J, J) for J in range(1, layout.B + 1)]
         t = distla.construct_distributed(cl, "A", "triangular",
@@ -146,10 +146,6 @@ class TestConstruct:
                                          row_layout=layout)
         np.testing.assert_array_equal(distla.collect(cl, d),
                                       distla.collect_diagonal(cl, t))
-        with pytest.raises(DimensionMismatch):
-            distla.construct_distributed(cl, "A", "triangular",
-                                         "test.full_block", [],
-                                         row_layout=layout, diagonal=True)
 
     def test_wrong_block_shape_names_the_rank(self, cluster_factory):
         cl = cluster_factory(3)
@@ -168,7 +164,7 @@ class TestConstruct:
         cl = cluster_factory(3)
         with pytest.raises(GeneratorError):
             distla.construct_distributed(cl, "x", "vector",
-                                         "test.scalar_vector", [],
+                                         "test.scalar_block", [],
                                          row_layout=_layout(cl, 10, 2))
 
     @pytest.mark.parametrize("kernel,dim", [

@@ -64,10 +64,12 @@ def _trend(params, x):
     return params[0] * np.sin(x) + params[1] * x
 
 
-registry.register("test.trend.obs", lambda params, inputs, i: _trend(
-    params, inputs["coords"][i - 1]))
-registry.register("test.trend.pred", lambda params, inputs, i: _trend(
-    params, inputs["pred_coords"][i - 1]))
+def _trend_obs(theta, inputs):
+    return _trend(theta, inputs["coords"])
+
+
+def _trend_pred(theta, inputs):
+    return _trend(theta, inputs["pred_coords"])
 
 
 def _small_problem(cl, name="t"):
@@ -242,6 +244,25 @@ class TestFreshness:
         for g, w in zip(got, fresh.predict(se_fit=True)):
             np.testing.assert_array_equal(g, w)
 
+    def test_new_theta_issues_five_collectives(self, cluster_factory):
+        cl = cluster_factory(3)
+        prob = _small_problem(cl)
+        issued, run = [], cl.run
+        cl.run = lambda fn_id, **kw: issued.append(fn_id) or run(fn_id, **kw)
+        prob.log_density(THETAS["B"])
+        assert issued == ["distla.construct", "distla.cholesky",
+                          "distla.solve", "distla.logdet", "distla.sumsq"]
+
+    def test_close_is_one_dispatch(self, cluster_factory):
+        cl = cluster_factory(3)
+        prob = _small_problem(cl)
+        prob.simulate_realizations(2)
+        dispatch, sent = cl._dispatch, []
+        cl._dispatch = lambda cmds: sent.append(cmds) or dispatch(cmds)
+        prob.close()
+        assert len(sent) == 1
+        assert not [nm for nm in cl.remote_ls(1) if nm.startswith("t.")]
+
     def test_close_removes_worker_objects(self, cluster_factory):
         cl = cluster_factory(3)
         cl.push("t_other", 1.0)
@@ -278,10 +299,10 @@ def _live_bytes(cluster):
 
 class TestResidency:
     """After each public call the workers hold exactly the documented live
-    set: inputs and y; L, mu and u once a theta is current; V once
-    predicted; LSigma once conditionally simulated.  C, the
-    cross-covariance and Sigma are consumed in place, and everything else
-    is released as it is collected."""
+    set: inputs; L and u once a theta is current; V once predicted; LSigma
+    once conditionally simulated.  y and the means stay on the master, C,
+    the cross-covariance and Sigma are consumed in place, and everything
+    else is released as it is collected."""
 
     def _names(self, cl, name="t"):
         per_rank = [{nm[len(name) + 1:] for nm in cl.remote_ls(rank)
@@ -293,7 +314,7 @@ class TestResidency:
     def test_live_set_after_each_call(self, cluster_factory):
         cl = cluster_factory(3)
         prob = _small_problem(cl)
-        base, chol = {"inputs", "y"}, {"inputs", "y", "L", "mu", "u"}
+        base, chol = {"inputs"}, {"inputs", "L", "u"}
         steps = [
             ("log_density", lambda: prob.log_density(), chol),
             ("predict", lambda: prob.predict(), chol | {"V"}),
@@ -332,8 +353,7 @@ class TestResidency:
         prob.predict(se_fit=True)
         prob.simulate_realizations(100)
         assert _live_bytes(cl) <= 40e6
-        assert self._names(cl) == {"inputs", "y", "L", "mu", "u", "V",
-                                   "LSigma"}
+        assert self._names(cl) == {"inputs", "L", "u", "V", "LSigma"}
 
 
 def _outcome(fn):
@@ -375,9 +395,9 @@ def _assert_same(got, want):
 def _live_set(prob):
     """The documented worker objects of a problem in its current state."""
     state = prob._state
-    suffixes = {"inputs", "y"}
+    suffixes = {"inputs"}
     if "ll" in state:
-        suffixes |= {"L", "mu", "u"}
+        suffixes |= {"L", "u"}
     if "pred_mean" in state:
         suffixes.add("V")
     if "LSigma" in state:
@@ -624,8 +644,7 @@ class TestPredict:
                                    rtol=1e-13)
         for rank in range(1, 4):  # no m x m prediction covariance was kept
             assert set(cl.remote_ls(rank)) - {".runtime"} == {
-                f"t.{suffix}" for suffix in ("inputs", "y", "L", "mu", "u",
-                                             "V")}
+                f"t.{suffix}" for suffix in ("inputs", "L", "u", "V")}
 
     def test_prior_variance_evaluates_diagonal_blocks_only(
             self, cluster_factory):
@@ -660,14 +679,14 @@ class TestNonZeroMean:
 
     theta = np.array([1.5, 2.0, 0.1])
 
-    def _setup(self, cl):
+    def _setup(self, cl, mean_fn=_trend_obs, pred_mean_fn=_trend_pred):
         rng = np.random.default_rng(17)
         coords = np.sort(rng.uniform(0, 10, 17))
         pred = np.linspace(0.5, 9.5, 7)
         y = rng.standard_normal(17) + _trend(self.theta, coords)
         spec = dataclasses.replace(
             builtin_spec("matern-nugget", coords, pred),
-            mean_fn="test.trend.obs", pred_mean_fn="test.trend.pred")
+            mean_fn=mean_fn, pred_mean_fn=pred_mean_fn)
         prob = KrigeProblem(cl, "t", spec, y, self.theta, m=7, h_n=2, h_m=2,
                             h_r=1)
         return prob, coords, pred, y
@@ -692,6 +711,71 @@ class TestNonZeroMean:
             np.testing.assert_allclose(
                 sims, np.repeat(_trend(self.theta, coords)[:, None], 3, 1),
                 rtol=1e-14, atol=0)
+
+    @staticmethod
+    def _snapshot(prob):
+        """The slot's theta and keys, and every rank's objects."""
+        cl = prob.cluster
+        return (prob._state.get("fp"), sorted(prob._state),
+                [sorted(nm for nm in cl.remote_ls(rank) if nm.startswith("t."))
+                 for rank in range(1, cl.P + 1)])
+
+    @pytest.mark.parametrize("fault, error", [("raises", ValueError),
+                                              ("wrong-shape",
+                                               DimensionMismatch)])
+    @pytest.mark.parametrize("which", ["mean_fn", "pred_mean_fn"])
+    def test_failing_mean_changes_nothing(self, cluster_factory, which,
+                                          fault, error):
+        """The means are evaluated on the master before any worker object
+        changes; at theta[0] > 5 this one fails."""
+        good = {"mean_fn": _trend_obs, "pred_mean_fn": _trend_pred}[which]
+
+        def mean(theta, inputs):
+            if theta[0] <= 5:
+                return good(theta, inputs)
+            if fault == "raises":
+                raise ValueError("no mean here")
+            return np.zeros(3)
+        cl = cluster_factory(3)
+        prob, *_ = self._setup(cl, **{which: mean})
+        bad = np.array([6.0, 2.0, 0.1])
+        if which == "mean_fn":
+            prob.simulate_realizations(2)
+            call = lambda: prob.log_density(bad)  # noqa: E731
+        else:
+            prob.log_density(bad)
+            call = prob.predict
+        before = self._snapshot(prob)
+        with pytest.raises(error):
+            call()
+        assert self._snapshot(prob) == before
+        collectives = cl.stats["collectives"]
+        prob.log_density()  # the slot's theta is still current
+        assert cl.stats["collectives"] == collectives
+
+    def test_bad_mean_or_y_fails_at_construction(self, cluster_factory):
+        cl = cluster_factory(3)
+        spec = builtin_spec("matern-nugget", np.arange(4.0), np.arange(2.0))
+        for bad_spec, y, error in [
+                (dataclasses.replace(spec, mean_fn="gen.zero"), np.zeros(4),
+                 TypeError),
+                (dataclasses.replace(spec, pred_mean_fn=np.zeros(2)),
+                 np.zeros(4), TypeError),
+                (spec, np.zeros((4, 1)), DimensionMismatch)]:
+            with pytest.raises(error):
+                KrigeProblem(cl, "t", bad_spec, y, self.theta, m=2)
+        assert not [nm for nm in cl.remote_ls(1) if nm.startswith("t.")]
+
+    @pytest.mark.slow
+    def test_callable_mean_on_socket_backend(self, cluster_factory):
+        results = []
+        for backend in ("in-process", "multi-process-socket"):
+            prob, *_ = self._setup(cluster_factory(3, backend=backend,
+                                                   seed=4, blas_threads=1))
+            results.append((prob.log_density(), *prob.predict(se_fit=True),
+                            prob.simulate_realizations(3, post=False)))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSimulate:

@@ -1,15 +1,22 @@
 """The library names the benchmark's traced run wraps must keep existing.
 
 `perfbench/tracing.py` wraps public `blockgp.distla` functions by name and
-`perfbench/probe.py` wraps `WorkerContext.recv(src, tag, shape)`; a refactor
-that renames either would only show up as a failed traced run.
+`perfbench/probe.py` wraps `WorkerContext.recv(src, tag, shape)` and
+`registry.lookup`, billing every `gen.*` generator to the worker thread
+whose kernel asked for it; a refactor that renames either, or looks a
+generator up on the master, would only show up as a failed traced run.
 """
 
 import ast
+import dataclasses
 import inspect
 import os
+import threading
 
-from blockgp import distla
+import numpy as np
+
+from blockgp import distla, registry, spawn
+from blockgp.gp import KrigeProblem, builtin_spec
 from blockgp.transport.base import WorkerContext
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -32,3 +39,32 @@ def test_traced_names_exist():
     assert [name for name in layers if not hasattr(distla, name)] == []
     assert isinstance(distla.DistVector, type)
     assert "shape" in inspect.signature(WorkerContext.recv).parameters
+
+
+def test_generators_are_looked_up_on_workers_only(monkeypatch):
+    master, lookups, lookup = threading.get_ident(), [], registry.lookup
+
+    def recorded(fn_id):
+        lookups.append((fn_id, threading.get_ident() == master))
+        return lookup(fn_id)
+    monkeypatch.setattr(registry, "lookup", recorded)
+    rng = np.random.default_rng(1)
+    spec = dataclasses.replace(
+        builtin_spec("matern-nugget", rng.uniform(0, 5, 9),
+                     rng.uniform(0, 5, 4)),
+        mean_fn=lambda theta, inputs: theta[0] * inputs["coords"],
+        pred_mean_fn=lambda theta, inputs: theta[0] * inputs["pred_coords"])
+    cl = spawn(3, seed=1)
+    try:
+        prob = KrigeProblem(cl, "t", spec, rng.standard_normal(9),
+                            [1.0, 1.0, 0.1], m=4, h_n=2, h_m=1, h_r=1)
+        prob.log_density()
+        prob.predict(se_fit=True)
+        prob.simulate_realizations(2, post=True)
+        prob.simulate_realizations(2, post=False)
+    finally:
+        cl.shutdown()
+    generators = {(fn_id, on_master) for fn_id, on_master in lookups
+                  if fn_id.startswith("gen.")}
+    assert generators == {(f"gen.matern-nugget.{kind}", False)
+                          for kind in ("cov", "cross", "pred")}

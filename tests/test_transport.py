@@ -99,12 +99,6 @@ class TestObjectStore:
         assert len(sent) == 1
         assert cl.remote_ls(2) == [RUNTIME_OBJECT, "c"]
 
-    def test_push_to_subset(self, cluster_factory):
-        cl = cluster_factory(3)
-        cl.push("x", 1.0, targets=[2])
-        assert "x" in cl.remote_ls(2)
-        assert "x" not in cl.remote_ls(1)
-
     def test_no_hidden_sharing(self, cluster_factory):
         cl = cluster_factory(1)
         x = np.arange(4.0)
@@ -122,41 +116,6 @@ class TestObjectStore:
         assert len({id(x) for x in stored}) == 6
 
 
-class TestRemoteApply:
-    def test_negate_distributed_vector(self, cluster_factory):
-        cl = cluster_factory(3)
-        x = np.arange(10.0)
-        layout = distla.make_layout(10, cl.grid, h=1)
-        distla.distribute(cl, "x", x, "vector", layout)
-        cl.remote_apply("negate", "x", "y")
-        got = distla.collect(cl, distla.DistVector("y", layout))
-        np.testing.assert_array_equal(got, -x)
-
-    def test_elementwise_add(self, cluster_factory):
-        cl = cluster_factory(6)
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal(17), rng.standard_normal(17)
-        layout = distla.make_layout(17, cl.grid, h=2)
-        distla.distribute(cl, "a", a, "vector", layout)
-        distla.distribute(cl, "b", b, "vector", layout)
-        cl.remote_apply("add", ["a", "b"], "c")
-        got = distla.collect(cl, distla.DistVector("c", layout))
-        np.testing.assert_array_equal(got, a + b)
-
-    def test_missing_input_names_rank(self, cluster_factory):
-        cl = cluster_factory(3)
-        cl.push("a", 1.0)
-        with pytest.raises(NoSuchObject) as info:
-            cl.remote_apply("add", ["a", "nope"], "c")
-        assert info.value.rank == 1  # lowest failing rank reported
-
-    def test_unknown_function(self, cluster_factory):
-        cl = cluster_factory(3)
-        cl.push("a", 1.0)
-        with pytest.raises(UnknownFunction):
-            cl.remote_apply("no.such.fn", "a", "b")
-
-
 @registry.register("test.fail_on_rank_two")
 def _fail_on_rank_two(ctx):
     if ctx.rank == 2:
@@ -169,12 +128,31 @@ def _echo_rank(ctx):
     return ctx.rank
 
 
+@registry.register("test.fetch")
+def _fetch(ctx, name):
+    ctx.fetch(name)
+
+
 class TestErrorPropagation:
     def test_worker_failure_carries_rank(self, cluster_factory):
         cl = cluster_factory(3)
         with pytest.raises(WorkerFailure) as info:
             cl.run("test.fail_on_rank_two")
         assert info.value.rank == 2
+
+    def test_missing_object_names_the_lowest_failing_rank(self,
+                                                          cluster_factory):
+        cl = cluster_factory(6)
+        cl.scatter("a", {1: 1.0, 3: 1.0})
+        with pytest.raises(NoSuchObject) as info:
+            cl.run("test.fetch", name="a")
+        assert info.value.rank == 2
+
+    def test_unknown_function(self, cluster_factory):
+        cl = cluster_factory(3)
+        with pytest.raises(UnknownFunction):
+            cl.run("no.such.fn")
+        assert cl.run("test.echo_rank") == [1, 2, 3]
 
     def test_cluster_survives_failed_collective(self, cluster_factory):
         cl = cluster_factory(3)
