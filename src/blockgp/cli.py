@@ -186,7 +186,9 @@ def cmd_fit(cluster, cfg):
            "log_density": res.log_density,
            "converged": res.converged,
            "n_evals": res.n_evals,
-           "trace": [{"theta": t.tolist(), "log_density": ll}
+           # a failed Cholesky's -inf is not JSON: written as null
+           "trace": [{"theta": t.tolist(),
+                      "log_density": ll if np.isfinite(ll) else None}
                      for t, ll in res.trace]}
     with open(cfg["out"], "w") as f:
         json.dump(doc, f, indent=1)

@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+XATOL, FATOL = 1e-6, 1e-9  # Nelder-Mead stopping rules on log theta
+
 
 @dataclass
 class CovarianceSpec:
@@ -88,13 +90,14 @@ class KrigeProblem:
       - "pred_mean": V exists too (predict, prediction_variance, simulate);
       - "se2": the prediction variances, kept on the master;
       - "LSigma": the posterior factor LSigma exists too.
-    Besides these only `inputs` stays on the workers: C, the
-    cross-covariance and Sigma are consumed in place by the objects built
-    from them, and every other result is released as it is collected.
+    Besides these only `inputs` stays on the workers.  Each factor is built
+    under the name it ends as (L, V, LSigma) and factored or solved in
+    place, every other result is released as it is collected, and a new
+    theta, like a failed call, first removes every object but `inputs`.
     """
 
     # every name a problem makes on the workers, as suffixes of its own name
-    _NAMES = ("inputs", "C", "L", "u", "V", "w", "pv", "vtv_diag", "Sigma",
+    _NAMES = ("inputs", "L", "u", "V", "w", "pv", "vtv_diag", "Sigma",
               "LSigma", "Z")
 
     def __init__(self, cluster, name, spec, y, theta0, m=0,
@@ -111,6 +114,12 @@ class KrigeProblem:
                                 f"or None, got {fn!r}")
         self.n = len(self.y)
         self.m = int(m)
+        for key, size, what in (("coords", self.n, "len(y)"),
+                                ("pred_coords", self.m, "m")):
+            points = spec.inputs.get(key)
+            if points is not None and np.shape(points)[:1] != (size,):
+                raise DimensionMismatch(f"{what} is {size} but inputs[{key!r}]"
+                                        f" has shape {np.shape(points)}")
         self.theta = self._check_theta(theta0)
         self.h_r = h_r
         grid = cluster.grid
@@ -171,10 +180,10 @@ class KrigeProblem:
 
     @contextmanager
     def _clean_failure(self):
-        """Worker work that fails leaves no theta current and no derived
-        object on the workers, so nothing half-built is reused or left
-        behind.  The means are evaluated before it starts, so a failing
-        mean changes nothing."""
+        """Worker work that fails leaves no theta current and only `inputs`
+        on the workers, the state a new theta starts from, so nothing
+        half-built is reused or left behind.  The means are evaluated before
+        it starts, so a failing mean changes nothing."""
         try:
             yield
         except BlockGPError:
@@ -192,14 +201,11 @@ class KrigeProblem:
             return self._state
         mu = self._mean(self.spec.mean_fn, theta, self.n)
         with self._clean_failure():
-            if "pred_mean" in self._state:
-                # the old theta's m-sized objects go before any new one is
-                # built; L and u are overwritten as they are rebuilt
-                self.cluster.remote_rm([self._V.name, self._nm("LSigma")])
             self._state = {}
-            cov = self._construct("C", "triangular", self.spec.cov_fn, theta,
+            self._remove(keep=("inputs",))
+            cov = self._construct("L", "triangular", self.spec.cov_fn, theta,
                                   self.row_layout)
-            distla.distributed_cholesky(self.cluster, cov, self._L.name)
+            distla.distributed_cholesky(self.cluster, cov, cov.name)
             resid = distla.distribute(self.cluster, self._u.name, self.y - mu,
                                       "vector", self.row_layout)
             distla.triangular_solve(self.cluster, self._L, resid,
@@ -234,19 +240,19 @@ class KrigeProblem:
         if "LSigma" in state:
             return state
         with self._clean_failure():
-            sigma = self._posterior_cov(theta)
+            sigma = self._posterior_cov(theta, "LSigma")
             try:
                 state["LSigma"], _ = distla.distributed_cholesky(
-                    self.cluster, sigma, self._nm("LSigma"))
+                    self.cluster, sigma, sigma.name)
             except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(
                     exc.block_index,
                     "posterior covariance not numerically PD") from exc
         return state
 
-    def _posterior_cov(self, theta):
-        """Sigma* = C_pred - V^T V, built inside C_pred's blocks."""
-        sigma = self._construct("Sigma", "triangular", self.spec.pred_cov_fn,
+    def _posterior_cov(self, theta, suffix):
+        """Sigma* = C_pred - V^T V, built in C_pred's blocks as `suffix`."""
+        sigma = self._construct(suffix, "triangular", self.spec.pred_cov_fn,
                                 theta, self.col_layout)
         return distla.crossprod_self(self.cluster, self._V, sigma.name,
                                      subtract=True)
@@ -266,11 +272,11 @@ class KrigeProblem:
         self._state = {}
         self._remove()
 
-    def optimize_log_dens(self, theta0=None, max_evals=500, xatol=1e-6):
+    def optimize_log_dens(self, theta0=None, max_evals=500):
         """Maximize the log density with Nelder-Mead on log-transformed theta.
 
         The log transform keeps every iterate in the positive orthant and
-        makes the simplex-diameter stopping rule (`xatol`) relative in theta.
+        makes the simplex-diameter stopping rule (`XATOL`) relative in theta.
         Returns the best point found, flagged unconverged when the evaluation
         budget runs out; the trace records every evaluation.
         """
@@ -292,7 +298,7 @@ class KrigeProblem:
             raise NonFiniteObjective(
                 f"log density not finite at starting theta {theta0}")
         res = minimize(neg_ll, np.log(theta0), method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": 1e-9,
+                       options={"xatol": XATOL, "fatol": FATOL,
                                 "maxfev": max_evals, "adaptive": True})
         best_theta, best_ll = max(trace, key=lambda t: t[1])
         if not res.success:
@@ -333,7 +339,7 @@ class KrigeProblem:
         self._check_grid()
         self._ensure_prediction_basis(self.theta)
         with self._clean_failure():
-            sigma = self._posterior_cov(self.theta)
+            sigma = self._posterior_cov(self.theta, "Sigma")
             lower = distla.collect(self.cluster, sigma, True)
         return lower + np.tril(lower, -1).T
 

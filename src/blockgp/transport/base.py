@@ -21,8 +21,6 @@ from ..errors import (BlockGPError, ClusterDown, NoSuchObject, WorkerFailure,
 from ..grid import ProcessGrid
 from ..rng import RankStream
 
-RUNTIME_OBJECT = ".runtime"
-
 # phase labels used in message tags, in wire-encoding order
 PHASES = ("diag", "col", "ps", "x")
 
@@ -32,11 +30,10 @@ class Message:
     """One tagged point-to-point payload.
 
     tag = (object name, phase label, block row I, block col J).  Messages
-    between a fixed (src, dst, tag) triple are delivered in send order.
+    from one src with one tag reach their receiver in send order.
     """
 
     src: int
-    dst: int
     tag: tuple
     payload: object = None
     epoch: int = 0
@@ -62,7 +59,7 @@ class Mailbox:
 
     def close(self):
         """Nothing can arrive any more: fail a waiting get and every later one."""
-        self._incoming.put(Message(src=0, dst=0, tag=None, kind="closed"))
+        self._incoming.put(Message(src=0, tag=None, kind="closed"))
 
     def begin_epoch(self, epoch):
         self._stash.clear()
@@ -137,11 +134,8 @@ class WorkerCore:
         self.rank = rank
         self.mailbox = Mailbox()
         self.epoch = 0
-        coord = grid.rank_to_coord(rank)
         self.ctx = WorkerContext(
-            rank=rank, coord=coord, grid=grid,
-            store={RUNTIME_OBJECT: {"rank": rank, "coord": coord,
-                                    "D": grid.D, "P": grid.P, "seed": seed}},
+            rank=rank, coord=grid.rank_to_coord(rank), grid=grid, store={},
             stream=RankStream(seed, rank),
             _send=send_fn, _mailbox=self.mailbox)
         self.abort_fn = None  # callable(), set by backend

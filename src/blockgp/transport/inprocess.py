@@ -45,14 +45,14 @@ class InProcessCluster(Cluster):
 
     def _deliver(self, src, dst, tag, payload):
         w = self._workers[dst]
-        w.core.mailbox.put(Message(src=src, dst=dst, tag=tag,
+        w.core.mailbox.put(Message(src=src, tag=tag,
                                    payload=copy_payload(payload),
                                    epoch=self.epoch))
 
     def _abort_from(self, src):
         for rank, w in self._workers.items():
             if rank != src:
-                w.core.mailbox.put(Message(src=src, dst=rank, tag=None,
+                w.core.mailbox.put(Message(src=src, tag=None,
                                            epoch=self.epoch, kind="abort"))
 
     def _dispatch(self, cmds):

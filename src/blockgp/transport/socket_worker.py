@@ -44,15 +44,15 @@ def main(argv=None):
                 decoded = decode_body(body)
                 if decoded[0] == "data":
                     _, src, _dst, epoch, tag, payload = decoded
-                    core.mailbox.put(Message(src=src, dst=rank, tag=tag,
+                    core.mailbox.put(Message(src=src, tag=tag,
                                              payload=payload, epoch=epoch))
                 else:
                     obj = decoded[1]
                     if obj["kind"] == "command":
                         cmds.put(obj["cmd"])
                     elif obj["kind"] == "abort":
-                        core.mailbox.put(Message(src=obj["src"], dst=rank,
-                                                 tag=None, epoch=obj["epoch"],
+                        core.mailbox.put(Message(src=obj["src"], tag=None,
+                                                 epoch=obj["epoch"],
                                                  kind="abort"))
         except (ConnectionError, OSError):
             pass

@@ -89,6 +89,24 @@ class TestFit:
         assert out.startswith(f"fit theta {doc['theta']!r} log_density ")
         assert "np." not in out
 
+    def test_failed_evaluations_are_null_in_strict_json(self, tmp_path):
+        # without a nugget the sqexp covariance of 30 points on [0, 1] is
+        # not numerically PD once the range grows
+        x = np.linspace(0.0, 1.0, 30)
+        write_data(tmp_path / "d.csv", x, np.sin(6 * x))
+        cfg = write_config(tmp_path / "c.cfg", workers=3, kernel="sqexp",
+                           theta0="1.0,0.05", max_evals=60,
+                           data=tmp_path / "d.csv", out=tmp_path / "fit.json")
+        assert cli.main(["fit", cfg]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        doc = json.loads((tmp_path / "fit.json").read_text(),
+                         parse_constant=reject)
+        lls = [t["log_density"] for t in doc["trace"]]
+        assert None in lls
+        assert doc["log_density"] == max(ll for ll in lls if ll is not None)
+
 
 class TestPredict:
     def test_csv_round_trip_exact(self, workdir):

@@ -300,9 +300,10 @@ def _live_bytes(cluster):
 class TestResidency:
     """After each public call the workers hold exactly the documented live
     set: inputs; L and u once a theta is current; V once predicted; LSigma
-    once conditionally simulated.  y and the means stay on the master, C,
-    the cross-covariance and Sigma are consumed in place, and everything
-    else is released as it is collected."""
+    once conditionally simulated.  y and the means stay on the master, each
+    factor is built under its own name, and everything else is released as
+    it is collected.  A new theta, like a failure, starts from inputs
+    alone."""
 
     def _names(self, cl, name="t"):
         per_rank = [{nm[len(name) + 1:] for nm in cl.remote_ls(rank)
@@ -315,6 +316,17 @@ class TestResidency:
         cl = cluster_factory(3)
         prob = _small_problem(cl)
         base, chol = {"inputs"}, {"inputs", "L", "u"}
+        # what the workers hold when each construct is dispatched
+        at_construct, run = [], cl.run
+
+        def recorded(fn_id, **kwargs):
+            if fn_id == "distla.construct":
+                at_construct.append(self._names(cl))
+            return run(fn_id, **kwargs)
+        cl.run = recorded
+        # the steps that build the covariance for a new theta
+        fresh = {"log_density", "new theta", "new theta after simulate",
+                 "failed theta", "unconditional at A"}
         steps = [
             ("log_density", lambda: prob.log_density(), chol),
             ("predict", lambda: prob.predict(), chol | {"V"}),
@@ -329,15 +341,20 @@ class TestResidency:
             ("new theta", lambda: prob.log_density(THETAS["B"]), chol),
             ("simulate at B", lambda: prob.simulate_realizations(2),
              chol | {"V", "LSigma"}),
+            ("new theta after simulate",
+             lambda: prob.log_density(THETAS["A"]), chol),
             ("failed theta", lambda: _outcome(
                 lambda: prob.log_density(THETAS["bad"])), base),
-            ("unconditional at B", lambda: prob.simulate_realizations(2, False),
+            ("unconditional at A", lambda: prob.simulate_realizations(2, False),
              chol),
             ("close", prob.close, set()),
         ]
         for what, call, want in steps:
+            at_construct.clear()
             call()
             assert self._names(cl) == want, what
+            if what in fresh:
+                assert at_construct == [base], what
 
     def test_live_bytes_after_predict_and_simulate(self, cluster_factory):
         # the predict-sim benchmark's problem: L + V + LSigma is 33.4 MB,
@@ -643,7 +660,7 @@ class TestPredict:
         np.testing.assert_allclose(se ** 2, theta[0] - (V * V).sum(axis=0),
                                    rtol=1e-13)
         for rank in range(1, 4):  # no m x m prediction covariance was kept
-            assert set(cl.remote_ls(rank)) - {".runtime"} == {
+            assert set(cl.remote_ls(rank)) == {
                 f"t.{suffix}" for suffix in ("inputs", "L", "u", "V")}
 
     def test_prior_variance_evaluates_diagonal_blocks_only(
@@ -840,6 +857,20 @@ class TestBuiltinSpecs:
         with pytest.raises(error):
             builtin_spec(kernel, np.zeros(coords),
                          None if pred is None else np.zeros(pred), **inputs)
+
+    @pytest.mark.parametrize("n_y, m", [(10, 7), (12, 5), (12, 9)])
+    def test_point_counts_checked_at_construction(self, cluster_factory,
+                                                  n_y, m):
+        # 12 observation and 7 prediction coordinates
+        cl = cluster_factory(3)
+        rng = np.random.default_rng(8)
+        spec = builtin_spec("matern-nugget", rng.uniform(0, 5, 12),
+                            rng.uniform(0, 5, 7))
+        with pytest.raises(DimensionMismatch):
+            KrigeProblem(cl, "t", spec, rng.standard_normal(n_y),
+                         [1.0, 1.0, 0.1], m=m)
+        assert not [nm for rank in range(1, 4) for nm in cl.remote_ls(rank)
+                    if nm.startswith("t.")]
 
     def test_parameter_counts(self):
         assert BUILTIN_KERNELS == {"sqexp": 2, "matern": 2,

@@ -5,6 +5,8 @@
 `registry.lookup`, billing every `gen.*` generator to the worker thread
 whose kernel asked for it; a refactor that renames either, or looks a
 generator up on the master, would only show up as a failed traced run.
+The traced run also reads the factor's layout and each rank's peak block
+count from what `distla.distributed_cholesky` returns.
 """
 
 import ast
@@ -18,6 +20,8 @@ import numpy as np
 from blockgp import distla, registry, spawn
 from blockgp.gp import KrigeProblem, builtin_spec
 from blockgp.transport.base import WorkerContext
+
+from conftest import spd_matrix
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                        "tracing.py")
@@ -68,3 +72,22 @@ def test_generators_are_looked_up_on_workers_only(monkeypatch):
                   if fn_id.startswith("gen.")}
     assert generators == {(f"gen.matern-nugget.{kind}", False)
                           for kind in ("cov", "cross", "pred")}
+
+
+def test_in_place_cholesky_returns_what_the_trace_reads():
+    # tracing.py bills n^3/3 flops from out[0].layout.n and checks each
+    # rank's peak_blocks in out[1] against h^2 + 4 from out[0].layout.h
+    A = spd_matrix(40)
+    cl = spawn(3, seed=1)
+    try:
+        C = distla.distribute(cl, "C", A, "triangular",
+                              distla.make_layout(40, cl.grid, h=2))
+        out = distla.distributed_cholesky(cl, C, C.name)
+        L = distla.collect(cl, out[0])
+    finally:
+        cl.shutdown()
+    assert (out[0].name, out[0].layout.n, out[0].layout.h) == ("C", 40, 2)
+    assert len(out[1]) == 3
+    assert all(0 < st["peak_blocks"] <= 2 ** 2 + 4 for st in out[1])
+    np.testing.assert_allclose(L, np.linalg.cholesky(A), rtol=1e-10,
+                               atol=1e-12)

@@ -14,9 +14,13 @@ from blockgp.errors import (BackendUnavailable, ClusterDown, ConfigError,
                             UnknownFunction, WorkerFailure)
 from blockgp.rng import RankStream
 from blockgp.transport import socket_worker, socketbackend, wire
-from blockgp.transport.base import RUNTIME_OBJECT
 
 from conftest import spd_matrix
+
+
+@registry.register("test.rank_and_coord")
+def _rank_and_coord(ctx):
+    return ctx.rank, ctx.coord
 
 
 class TestSpawn:
@@ -53,12 +57,10 @@ class TestSpawn:
         np.testing.assert_array_equal(
             distla.collect(cl, z), RankStream(int(seed), 1).standard_normals(5))
 
-    def test_runtime_metadata_resident(self, cluster_factory):
+    def test_kernels_see_their_rank_and_coordinate(self, cluster_factory):
         cl = cluster_factory(3)
-        for rank in range(1, 4):
-            meta = cl.pull(RUNTIME_OBJECT, rank)
-            assert meta["rank"] == rank
-            assert meta["coord"] == cl.grid.rank_to_coord(rank)
+        assert cl.run("test.rank_and_coord") == [
+            (rank, cl.grid.rank_to_coord(rank)) for rank in range(1, 4)]
 
 
 class TestObjectStore:
@@ -75,7 +77,7 @@ class TestObjectStore:
 
     def test_ls_reflects_store(self, cluster_factory):
         cl = cluster_factory(3)
-        assert cl.remote_ls(1) == [RUNTIME_OBJECT]
+        assert cl.remote_ls(1) == []
         cl.push("theta", 1.0)
         for rank in range(1, 4):
             assert "theta" in cl.remote_ls(rank)
@@ -97,7 +99,7 @@ class TestObjectStore:
         cl._dispatch = lambda cmds: sent.append(cmds) or dispatch(cmds)
         cl.remote_rm(["a", "b", "absent"])
         assert len(sent) == 1
-        assert cl.remote_ls(2) == [RUNTIME_OBJECT, "c"]
+        assert cl.remote_ls(2) == ["c"]
 
     def test_no_hidden_sharing(self, cluster_factory):
         cl = cluster_factory(1)
