@@ -9,11 +9,10 @@ simultaneously-resident blocks on a worker bounded during the Cholesky sweep
 
 Block ownership comes only from `grid.py`, and `_operand` is the one rule
 for addressing a vector or rectangular operand; vectors live on the diagonal
-workers.  In solves and multiplies a vector's partial products run where the
-L block lives, so the vector block travels ("x" phase), while a rectangular
-operand stays and the L block travels ("col" phase).  Crossproducts V^T U
-run their partials where V's block lives, and U's block travels ("x" or
-"col" by its kind).  Partials travel to the result block's owner ("ps").
+workers.  Solves, multiplies and crossproducts share one schedule with one
+travel rule: each partial product runs where the matrix block (L or V)
+lives, the operand block travels there ("x" for a vector, "col" otherwise),
+and the partial travels to the result block's owner ("ps").
 
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
@@ -182,7 +181,7 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
 
 
 # ---------------------------------------------------------------------------
-# triangular solves and multiplications: one schedule
+# solves, multiplies and crossproducts: one schedule
 
 @registry.register("distla.solve")
 def solve(ctx, l_name, rhs_name, out_name, forward=True):
@@ -191,14 +190,26 @@ def solve(ctx, l_name, rhs_name, out_name, forward=True):
     With out_name == rhs_name the solve runs in place: each block of B is
     overwritten by its solution, and released, as soon as it is solved.
     """
-    _apply_chol(ctx, l_name, rhs_name, out_name,
-                "forward" if forward else "back")
+    _schedule(ctx, "forward" if forward else "back", l_name, rhs_name,
+              out_name)
 
 
 @registry.register("distla.mult")
 def mult(ctx, l_name, x_name, out_name):
     """Y = L X for a distributed vector or rectangular X."""
-    _apply_chol(ctx, l_name, x_name, out_name, "mult")
+    _schedule(ctx, "mult", l_name, x_name, out_name)
+
+
+@registry.register("distla.xprod")
+def xprod(ctx, v_name, u_name, out_name, subtract=False):
+    """V^T u (a vector u), V^T V in lower storage (u_name == v_name), or
+    diag(V^T V) (u_name None), on V's column layout.
+
+    With `subtract` (V^T V only), out_name already holds a triangular object
+    S on V's column layout: each accumulator starts from S's block and the
+    partials are subtracted from it, so S becomes S - V^T V in place.
+    """
+    _schedule(ctx, "xprod", v_name, u_name, out_name, subtract)
 
 
 def _operand(piece, grid):
@@ -217,137 +228,105 @@ def _operand(piece, grid):
             lambda I, c: (I, c), (bs, cl.block_size), "col")
 
 
-def _apply_chol(ctx, l_name, rhs_name, out_name, op):
-    """Apply L to a right-hand side: op "forward" (L^-1), "back" (L^-T) or
-    "mult" (L).
+def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
+    """Apply a matrix M to an operand X: op "forward" (L^-1 X), "back"
+    (L^-T X), "mult" (L X) or "xprod" (V^T X, or diag(V^T V) without X).
 
-    Result block (J, c) takes one partial per off-diagonal (solves) or
-    every (mult) L block of its row ("back": its column), accumulated in
-    ascending K at the result's owner; a solve's owner then receives L(J, J)
-    per use ("diag") and solves.  A solve into its own right-hand side
-    accumulates in B's block itself; the partials only ever multiply
-    blocks that are already solved.
+    Result block (J, c) takes one partial per K: L(J, K) X(K, c) for K < J
+    (forward) or K <= J (mult), L(K, J)^T X(K, c) for K > J (back), and
+    V(K, J)^T X(K, c) for every row block K (xprod).  Each partial runs
+    where the block of M lives; the operand block X(K, c) travels there per
+    use, and the partial travels to the result's owner ("ps"), which
+    accumulates in ascending K.  A solve's operand blocks are its own solved
+    result blocks, and its owner then receives L(J, J) per use ("diag") and
+    solves; a solve into its own right-hand side accumulates in B's block.
     """
-    Lp, Rp = ctx.fetch(l_name), ctx.fetch(rhs_name)
+    M = ctx.fetch(m_name)
+    X = None if x_name is None else ctx.fetch(x_name)
     grid, me = ctx.grid, ctx.coord
-    lay = Lp.row_layout
-    B, bs = lay.B, lay.block_size
-    vector = Rp.kind == "vector"
-    Bc, owner, key, shape, phase = _operand(Rp, grid)
-    solving = op != "mult"
-    combine = np.subtract if solving else np.add
-    in_place = solving and out_name == rhs_name
-    out = Rp.blocks if in_place else {}
-    x = out if solving else Rp.blocks  # the blocks that partials multiply
-    for J in (range(B, 0, -1) if op == "back" else range(1, B + 1)):
-        Ks = {"forward": range(1, J), "back": range(J + 1, B + 1),
-              "mult": range(1, J + 1)}[op]
-        downer = block_owner(J, J, grid)
-        for c in range(1, Bc + 1):
-            towner = owner(J, c)
-            ps = (out_name, "ps", J, c)
-            if solving and downer == me and towner != me:
-                ctx.send(towner, (out_name, "diag", J, J), Lp.blocks[(J, J)])
-            if towner == me:
-                acc = Rp.blocks[key(J, c)] if solving else np.zeros(shape)
-                if solving and not in_place:
-                    acc = acc.copy()
-            for K in Ks:
-                Lkey = (K, J) if op == "back" else (J, K)
-                lowner, xowner = block_owner(*Lkey, grid), owner(K, c)
-                where, mover = (lowner, xowner) if vector else (xowner, lowner)
-                tag = (out_name, phase, *Lkey)
-                if mover == me and where != me:
-                    ctx.send(where, tag,
-                             x[key(K, c)] if vector else Lp.blocks[Lkey])
-                if where == me:
-                    Lb = (Lp.blocks[Lkey] if lowner == me
-                          else ctx.recv(lowner, tag, (bs, bs)))
-                    xk = (x[key(K, c)] if xowner == me
-                          else ctx.recv(xowner, tag, shape))
-                    partial = Lb.T @ xk if op == "back" else Lb @ xk
-                    if towner == me:
-                        combine(acc, partial, out=acc)
-                    else:
-                        ctx.send(towner, ps, partial)
-                elif towner == me:
-                    combine(acc, ctx.recv(where, ps, shape), out=acc)
-            if towner != me:
-                continue
-            if solving:
-                Ljj = (Lp.blocks[(J, J)] if downer == me
-                       else ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
-                if np.any(np.diag(Ljj) == 0.0):
-                    raise SingularDiagonal(f"zero diagonal in block {J}")
-                acc = la.solve_triangular(Ljj, acc, lower=True,
-                                          trans=0 if op == "forward" else 1,
-                                          check_finite=False)
-            out[key(J, c)] = acc
-    ctx.store[out_name] = LocalPiece(Rp.kind, lay, Rp.col_layout, out)
-
-
-# ---------------------------------------------------------------------------
-# crossproducts
-
-@registry.register("distla.xprod")
-def xprod(ctx, v_name, u_name, out_name, subtract=False):
-    """V^T u (a vector u), V^T V in lower storage (u_name == v_name), or
-    diag(V^T V) (u_name None), on V's column layout.
-
-    Result block (A, c) takes one partial per row block I, computed where
-    V(I, A) lives; the operand block (I, c) travels there per use, and the
-    partials accumulate in ascending I at the result's owner.  With
-    `subtract` (V^T V only), out_name already holds a triangular object S on
-    V's column layout: each accumulator starts from S's block and the
-    partials are subtracted from it, so S becomes S - V^T V in place.
-    """
-    Vp = ctx.fetch(v_name)
-    Up = None if u_name is None else ctx.fetch(u_name)
-    grid, me = ctx.grid, ctx.coord
-    rlay, clay = Vp.row_layout, Vp.col_layout
-    square = u_name == v_name
-    if subtract:
-        out = ctx.fetch(out_name)
-        if not square or out.kind != "triangular" or out.row_layout != clay:
-            raise DimensionMismatch("a subtracting crossproduct needs V^T V "
-                                    "and a triangular start on V's columns")
+    solving, square = op in ("forward", "back"), x_name == m_name
+    in_place = subtract or (solving and out_name == x_name)
+    B = M.row_layout.B
+    Ks = {"forward": lambda J: range(1, J),
+          "back": lambda J: range(J + 1, B + 1),
+          "mult": lambda J: range(1, J + 1),
+          "xprod": lambda J: range(1, B + 1)}[op]
+    if op == "xprod":
+        clay = M.col_layout
+        if subtract:
+            res = ctx.fetch(out_name)
+            if not square or res.kind != "triangular" or res.row_layout != clay:
+                raise DimensionMismatch("a subtracting crossproduct needs V^T V"
+                                        " and a triangular start on V's columns")
+        else:
+            res = (LocalPiece("triangular", clay, clay, {}) if square
+                   else LocalPiece("vector", clay, None, {}))
+        cells = [(A, c) for A in range(1, clay.B + 1)
+                 for c in range(1, (A if square else 1) + 1)]
     else:
-        out = (LocalPiece("triangular", clay, clay, {}) if square
-               else LocalPiece("vector", clay, None, {}))
-    combine = np.subtract if subtract else np.add
-    _, towner_of, out_key, out_shape, _ = _operand(out, grid)
-    if Up is not None:
-        _, owner, key, shape, phase = _operand(Up, grid)
-    for A in range(1, clay.B + 1):
-        for c in range(1, (A if square else 1) + 1):
-            towner = towner_of(A, c)
-            ps = (out_name, "ps", A, c)
-            if towner == me:
-                acc = (out.blocks[out_key(A, c)] if subtract
-                       else np.zeros(out_shape))
-            for I in range(1, rlay.B + 1):
-                vowner = rect_block_owner(I, A, grid)
-                if Up is not None:
-                    uowner, tag = owner(I, c), (out_name, phase, I, c)
-                    if uowner == me and vowner != me:
-                        ctx.send(vowner, tag, Up.blocks[key(I, c)])
-                if vowner == me:
-                    V = Vp.blocks[(I, A)]
-                    if Up is None:
-                        partial = np.einsum("ij,ij->j", V, V)
-                    else:
-                        partial = V.T @ (Up.blocks[key(I, c)] if uowner == me
-                                         else ctx.recv(uowner, tag, shape))
-                    if towner == me:
-                        combine(acc, partial, out=acc)
-                    else:
-                        ctx.send(towner, ps, partial)
-                elif towner == me:
-                    combine(acc, ctx.recv(vowner, ps, out_shape), out=acc)
-            if towner == me:
-                out.blocks[out_key(A, c)] = (np.tril(acc) if square and A == c
-                                             else acc)
-    ctx.store[out_name] = out
+        res = LocalPiece(X.kind, M.row_layout, X.col_layout,
+                         X.blocks if in_place else {})
+        cells = [(J, c) for J in (range(B, 0, -1) if op == "back"
+                                  else range(1, B + 1))
+                 for c in range(1, _operand(X, grid)[0] + 1)]
+    _, res_owner, res_key, shape, _ = _operand(res, grid)
+    if X is not None:
+        _, x_owner, x_key, x_shape, phase = _operand(X, grid)
+        xs = res.blocks if solving else X.blocks  # what the partials multiply
+    transposed = op in ("back", "xprod")
+    combine = np.subtract if solving or subtract else np.add
+    # accumulator start, product and finish of one result block
+    if in_place:
+        start = lambda key: res.blocks[key]
+    elif solving:
+        start = lambda key: X.blocks[key].copy()
+    else:
+        start = lambda key: np.zeros(shape)
+    if X is None:
+        product = lambda Mb, xk: np.einsum("ij,ij->j", Mb, Mb)
+    else:
+        product = lambda Mb, xk: (Mb.T if transposed else Mb) @ xk
+    if solving:
+        bs = M.row_layout.block_size
+
+        def finish(J, c, acc):
+            downer = block_owner(J, J, grid)
+            Ljj = (M.blocks[(J, J)] if downer == me else
+                   ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
+            if np.any(np.diag(Ljj) == 0.0):
+                raise SingularDiagonal(f"zero diagonal in block {J}")
+            return la.solve_triangular(Ljj, acc, lower=True,
+                                       trans=0 if op == "forward" else 1,
+                                       check_finite=False)
+    else:  # V^T V keeps its diagonal blocks lower triangular
+        finish = lambda J, c, acc: np.tril(acc) if square and J == c else acc
+    for J, c in cells:
+        towner = res_owner(J, c)
+        ps = (out_name, "ps", J, c)
+        if solving and block_owner(J, J, grid) == me and towner != me:
+            ctx.send(towner, (out_name, "diag", J, J), M.blocks[(J, J)])
+        if towner == me:
+            acc = start(res_key(J, c))
+        for K in Ks(J):
+            mkey = (K, J) if transposed else (J, K)
+            where = rect_block_owner(*mkey, grid)
+            if X is not None:
+                xowner, tag = x_owner(K, c), (out_name, phase, K, c)
+                if xowner == me and where != me:
+                    ctx.send(where, tag, xs[x_key(K, c)])
+            if where == me:
+                xk = (None if X is None else xs[x_key(K, c)] if xowner == me
+                      else ctx.recv(xowner, tag, x_shape))
+                partial = product(M.blocks[mkey], xk)
+                if towner == me:
+                    combine(acc, partial, out=acc)
+                else:
+                    ctx.send(towner, ps, partial)
+            elif towner == me:
+                combine(acc, ctx.recv(where, ps, shape), out=acc)
+        if towner == me:
+            res.blocks[res_key(J, c)] = finish(J, c, acc)
+    ctx.store[out_name] = res
 
 
 # ---------------------------------------------------------------------------

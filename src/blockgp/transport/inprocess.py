@@ -1,14 +1,17 @@
 """In-process backend: one thread per worker, queue-based mailboxes.
 
 This is the reference backend used by the test suite.  Workers share nothing:
-every payload is deep-copied on send, so the only communication channel is
-the tagged message queues, exactly as with a real distributed deployment.
+every payload is copied on send, in C order like the wire's, so the only
+communication channel is the tagged message queues, exactly as with a real
+distributed deployment.
 """
 
 import queue
 import threading
 
-from .base import Cluster, Message, WorkerCore, copy_payload
+import numpy as np
+
+from .base import Cluster, Message, WorkerCore
 
 
 class _WorkerThread:
@@ -44,9 +47,12 @@ class InProcessCluster(Cluster):
             w.thread.start()
 
     def _deliver(self, src, dst, tag, payload):
+        """Hand dst a C-ordered copy, as the wire delivers it: a block's
+        memory order steers BLAS, so an F-ordered copy would round
+        differently from the socket backend."""
         w = self._workers[dst]
         w.core.mailbox.put(Message(src=src, tag=tag,
-                                   payload=copy_payload(payload),
+                                   payload=np.array(payload, order="C"),
                                    epoch=self.epoch))
 
     def _abort_from(self, src):

@@ -29,16 +29,20 @@ _TAG_TAIL = struct.Struct("<III")  # phase, I, J
 
 
 def encode_data(src, dst, epoch, tag, payload):
+    """The whole frame, length prefix included, in one join: the payload's
+    C-order bytes are copied once, straight from the array."""
     name, phase, I, J = tag
     name_b = name.encode("utf-8")
-    buf = np.ascontiguousarray(np.asarray(payload, dtype="<f8").ravel())
-    body = b"".join([
+    buf = np.ascontiguousarray(payload, dtype="<f8")
+    length = (_HEAD.size + _U32.size + len(name_b) + _TAG_TAIL.size
+              + buf.nbytes)
+    return b"".join([
+        _U32.pack(length),
         _HEAD.pack(WIRE_VERSION, TYPE_DATA, src, dst, epoch),
         _U32.pack(len(name_b)), name_b,
         _TAG_TAIL.pack(PHASES.index(phase), I, J),
-        buf.tobytes(),
+        buf,
     ])
-    return _U32.pack(len(body)) + body
 
 
 def encode_control(obj):
@@ -47,20 +51,24 @@ def encode_control(obj):
 
 
 def decode_body(body):
-    """Returns ("data", src, dst, epoch, tag, payload) or ("control", obj)."""
+    """Returns ("data", src, dst, epoch, tag, payload) or ("control", obj).
+
+    A data payload is a 1-D view into `body`, not a copy; it is writable
+    when `body` is (a `read_frame` body is).
+    """
     version, ftype, src, dst, epoch = _HEAD.unpack_from(body, 0)
     if version != WIRE_VERSION:
         raise ValueError(f"unsupported wire version {version}")
     off = _HEAD.size
     if ftype == TYPE_CONTROL:
-        return ("control", pickle.loads(body[off:]))
+        return ("control", pickle.loads(memoryview(body)[off:]))
     (name_len,) = _U32.unpack_from(body, off)
     off += _U32.size
     name = body[off:off + name_len].decode("utf-8")
     off += name_len
     phase_idx, I, J = _TAG_TAIL.unpack_from(body, off)
     off += _TAG_TAIL.size
-    payload = np.frombuffer(body[off:], dtype="<f8").copy()
+    payload = np.frombuffer(body, dtype="<f8", offset=off)
     return ("data", src, dst, epoch, (name, PHASES[phase_idx], I, J), payload)
 
 
@@ -76,7 +84,8 @@ def nodelay(sock):
 
 
 def read_frame(sock):
-    """Read one frame body from a socket; None on orderly EOF."""
+    """Read one frame body from a socket into a fresh bytearray; None on
+    orderly EOF."""
     head = _read_exact(sock, 4)
     if head is None:
         return None
@@ -88,14 +97,14 @@ def read_frame(sock):
 
 
 def _read_exact(sock, count):
-    chunks = []
+    buf = bytearray(count)
+    view = memoryview(buf)
     got = 0
     while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
+        read = sock.recv_into(view[got:])
+        if not read:
             if got == 0:
                 return None
             raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += read
+    return buf

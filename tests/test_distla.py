@@ -8,6 +8,7 @@ from blockgp.errors import (DimensionMismatch, GeneratorError,
                             NotPositiveDefinite, SingularDiagonal)
 from blockgp.gp import BUILTIN_KERNELS, matern_correlation, sqexp_correlation
 from blockgp.grid import rect_block_owner
+from blockgp.transport import wire
 from blockgp.transport.inprocess import InProcessCluster
 
 from conftest import exp_cov, relerr, spd_matrix
@@ -655,12 +656,12 @@ class TestSchedules:
         "cholesky": {"col": (9, 1152), "diag": (3, 384)},
         "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
         "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
-        "solve_rect_forward": {"col": (12, 1536), "diag": (8, 1024),
-                               "ps": (16, 1024)},
-        "solve_rect_back": {"col": (12, 1536), "diag": (8, 1024),
-                            "ps": (16, 1024)},
+        "solve_rect_forward": {"col": (12, 768), "diag": (8, 1024),
+                               "ps": (12, 768)},
+        "solve_rect_back": {"col": (12, 768), "diag": (8, 1024),
+                            "ps": (12, 768)},
         "mult_vector": {"ps": (4, 128), "x": (4, 128)},
-        "mult_rect": {"col": (20, 2560), "ps": (16, 1024)},
+        "mult_rect": {"col": (20, 1280), "ps": (20, 1280)},
         "xprod_mat_vec": {"ps": (8, 128), "x": (8, 256)},
         "xprod_self": {"col": (16, 1024), "ps": (20, 640)},
         "xprod_self_diag": {"ps": (8, 128)},
@@ -673,6 +674,11 @@ class TestSchedules:
 
         def counted(self, src, dst, tag, payload):
             sent.append((tag[1], np.asarray(payload).nbytes))
+            # every message must also be one the wire can carry
+            frame = wire.encode_data(src, dst, self.epoch, tag, payload)
+            _, _, _, _, got_tag, got = wire.decode_body(frame[4:])
+            assert got_tag == tag
+            np.testing.assert_array_equal(got, np.ravel(payload))
             deliver(self, src, dst, tag, payload)
 
         monkeypatch.setattr(InProcessCluster, "_deliver", counted)

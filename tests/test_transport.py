@@ -183,6 +183,24 @@ class TestErrorPropagation:
         cl.shutdown()  # idempotent
 
 
+@registry.register("test.pass_f_ordered")
+def _pass_f_ordered(ctx):
+    tag = ("f", "col", 1, 1)
+    if ctx.rank == 1:
+        ctx.send(2, tag, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+    elif ctx.rank == 2:
+        got = ctx.recv(1, tag, (2, 3))
+        return got.flags.c_contiguous, got.tolist()
+
+
+class TestInProcessDelivery:
+    def test_f_ordered_payload_arrives_c_contiguous(self, cluster_factory):
+        # the wire always delivers C order, and a block's memory order steers
+        # BLAS, so the in-process backend must deliver C order too
+        got = cluster_factory(3).run("test.pass_f_ordered")[1]
+        assert got == (True, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+
+
 class TestDeterminism:
     def test_repeated_program_is_bit_identical(self, cluster_factory):
         out = []
@@ -225,6 +243,27 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             wire.decode_body(bytes(body))
 
+    def test_frame_written_in_pieces_reads_whole_and_writable(self):
+        payload = np.arange(40.0).reshape(5, 8)
+        frame = wire.encode_data(1, 3, 2, ("blk", "ps", 4, 2), payload)
+        a, b = socket.socketpair()
+        with a, b:
+            for cut in range(0, len(frame), 7):
+                a.sendall(frame[cut:cut + 7])
+            _, src, dst, epoch, tag, got = wire.decode_body(wire.read_frame(b))
+        assert (src, dst, epoch, tag) == (1, 3, 2, ("blk", "ps", 4, 2))
+        np.testing.assert_array_equal(got, payload.ravel())
+        got += 1.0  # a kernel may accumulate into a received block
+
+    def test_eof_mid_frame_raises(self):
+        frame = wire.encode_data(1, 3, 2, ("blk", "ps", 4, 2), np.ones(9))
+        a, b = socket.socketpair()
+        with b:
+            with a:
+                a.sendall(frame[:len(frame) - 5])
+            with pytest.raises(ConnectionError):
+                wire.read_frame(b)
+
 
 def _exercise(cl):
     """A fixed mixed workload whose collected results identify the backend."""
@@ -252,6 +291,11 @@ def _exercise(cl):
     X = distla.triangular_solve(cl, L, Xd, "X", side="back")
     distla.distribute(cl, "Sigma", spd_matrix(m, seed=3), "triangular", cols)
     Sigma = distla.crossprod_self(cl, W, "Sigma", subtract=True)
+    # 1-wide column blocks: L times a rectangular operand, as in simulation
+    r = 2 * cl.grid.D
+    Z = distla.distribute(cl, "Z", rng.standard_normal((n, r)), "rectangular",
+                          rows, distla.make_layout(r, cl.grid, h=2))
+    LZ = distla.mult_chol(cl, L, Z, "LZ")
     return {
         "L": distla.collect(cl, L),
         "x": distla.collect(cl, x),
@@ -260,6 +304,7 @@ def _exercise(cl):
         "lz": distla.collect(cl, lz),
         "X": distla.collect(cl, X),
         "Sigma": distla.collect(cl, Sigma),
+        "LZ": distla.collect(cl, LZ),
         "logdet": distla.log_det_from_chol(cl, L),
         "ssq": distla.sum_squares(cl, u),
     }
