@@ -1,0 +1,157 @@
+"""In-place BLAS and LAPACK on C-ordered float64 blocks, without the GIL.
+
+The four routines the kernels need (`dpotrf`, `dtrsm`, `dsyrk`, `dgemm`) are
+resolved once, at import, from the function pointers that scipy's
+`cython_blas` and `cython_lapack` export, and called through `ctypes`.  A
+ctypes foreign call releases the interpreter lock, so in-process worker
+threads factor and multiply at the same time; scipy's f2py wrappers hold it.
+
+A C-ordered m x n block is, to Fortran, the n x m transpose in the same
+memory.  Each routine therefore passes BLAS the transposed problem and
+works on the blocks as they are, with no copy and no temporary.
+
+A wrong pointer or leading dimension corrupts memory silently, so every
+routine checks its arguments before calling in: the array it writes must be
+a C-contiguous, aligned, writable float64 array of the right shape, or it
+raises ValueError; an operand that is not C-contiguous and aligned float64
+is copied first.  A 1-D array stands for a column.
+"""
+
+import ctypes
+
+import numpy as np
+from scipy.linalg import cython_blas, cython_lapack
+
+_CHAR, _PTR = ctypes.c_char_p, ctypes.c_void_p
+_INT, _DBL = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_F8 = np.dtype(np.float64)
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _resolve(module, name, *argtypes):
+    """The C function `name` exported by a scipy Cython module."""
+    capsule = module.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+# uplo, n, a, lda, info
+_dpotrf = _resolve(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
+# side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
+_dtrsm = _resolve(cython_blas, "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
+                  _INT, _DBL, _PTR, _INT, _PTR, _INT)
+# uplo, trans, n, k, alpha, a, lda, beta, c, ldc
+_dsyrk = _resolve(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DBL, _PTR,
+                  _INT, _DBL, _PTR, _INT)
+# transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+_dgemm = _resolve(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _DBL,
+                  _PTR, _INT, _PTR, _INT, _DBL, _PTR, _INT)
+
+
+def _int(value):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _dbl(value):
+    return ctypes.byref(ctypes.c_double(value))
+
+
+def _matrix(a):
+    return a.reshape(-1, 1) if a.ndim == 1 else a
+
+
+def _operand(a, what):
+    """a as a C-contiguous, aligned float64 matrix, copied only if needed."""
+    if not (isinstance(a, np.ndarray) and a.dtype == _F8
+            and a.flags.c_contiguous and a.flags.aligned):
+        a = np.array(a, dtype=_F8, order="C")  # a fresh array is aligned
+    if a.ndim not in (1, 2):
+        raise ValueError(f"{what} must be 1-D or 2-D, got {a.ndim}-D")
+    return _matrix(a)
+
+
+def _output(a, what):
+    """a as a matrix, checked to be writable in place."""
+    if not (isinstance(a, np.ndarray) and a.dtype == _F8 and a.ndim in (1, 2)
+            and a.flags.c_contiguous and a.flags.aligned
+            and a.flags.writeable):
+        raise ValueError(f"{what} must be a 1-D or 2-D C-contiguous, "
+                         f"aligned, writable float64 array")
+    return _matrix(a)
+
+
+def _check_shape(a, shape, what):
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+
+
+def _ld(a):
+    """Fortran leading dimension of a C-ordered matrix: its row length."""
+    return _int(max(1, a.shape[1]))
+
+
+def potrf(a):
+    """Cholesky factor in place: a's lower triangle becomes L with
+    a = L L^T; the strict upper triangle is neither read nor written.
+    Raises np.linalg.LinAlgError if a leading minor is not positive."""
+    a = _output(a, "the factored block")
+    n = a.shape[0]
+    _check_shape(a, (n, n), "the factored block")
+    info = ctypes.c_int(0)
+    _dpotrf(b"U", _int(n), a.ctypes.data, _ld(a), ctypes.byref(info))
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"leading minor {info.value} is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"dpotrf rejected argument {-info.value}")
+
+
+def trsm(l, b, right=False, trans=False):
+    """b := op(l)^-1 b, or b op(l)^-1 with `right`, in place; l is lower
+    triangular with a non-unit diagonal and op(l) is l, or l^T with
+    `trans`."""
+    l = _operand(l, "the triangular factor")
+    b = _output(b, "the right-hand side")
+    n = l.shape[0]
+    _check_shape(l, (n, n), "the triangular factor")
+    _check_shape(b, (b.shape[0], n) if right else (n, b.shape[1]),
+                 "the right-hand side")
+    # Fortran sees b^T and l^T: the side flips, the transpose flag stays
+    _dtrsm(b"L" if right else b"R", b"U", b"T" if trans else b"N", b"N",
+           _int(b.shape[1]), _int(b.shape[0]), _dbl(1.0), l.ctypes.data,
+           _ld(l), b.ctypes.data, _ld(b))
+
+
+def syrk(w, c):
+    """tril(c) -= w w^T in place; c's strict upper triangle is neither read
+    nor written."""
+    w = _operand(w, "the update factor")
+    c = _output(c, "the updated block")
+    n, k = w.shape
+    _check_shape(c, (n, n), "the updated block")
+    # Fortran sees w^T (k x n): c^T's upper triangle -= (w^T)^T w^T
+    _dsyrk(b"U", b"T", _int(n), _int(k), _dbl(-1.0), w.ctypes.data, _ld(w),
+           _dbl(1.0), c.ctypes.data, _ld(c))
+
+
+def gemm(a, b, c, alpha, trans_a=False, trans_b=False):
+    """c += alpha op(a) op(b) in place, where op(x) is x, or x^T with the
+    matching `trans_*`."""
+    a = _operand(a, "the left factor")
+    b = _operand(b, "the right factor")
+    c = _output(c, "the accumulator")
+    m, k = a.shape[::-1] if trans_a else a.shape
+    kb, n = b.shape[::-1] if trans_b else b.shape
+    if kb != k:
+        raise ValueError(f"inner dimensions differ: {k} and {kb}")
+    _check_shape(c, (m, n), "the accumulator")
+    # Fortran sees c^T += alpha op(b)^T op(a)^T: the operands swap, the
+    # transpose flags stay
+    _dgemm(b"T" if trans_b else b"N", b"T" if trans_a else b"N", _int(n),
+           _int(m), _int(k), _dbl(alpha), b.ctypes.data, _ld(b),
+           a.ctypes.data, _ld(a), _dbl(1.0), c.ctypes.data, _ld(c))

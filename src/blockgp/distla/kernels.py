@@ -17,15 +17,23 @@ and the partial travels to the result block's owner ("ps").
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
 keeping a second copy.
+
+Block arithmetic runs in place through `blas`, on the C-ordered blocks as
+they are and without the interpreter lock: the sweep factors a diagonal
+block with `potrf`, solves down a column with `trsm`, and updates trailing
+blocks with `syrk` (diagonal) and `gemm` (off-diagonal).  In the shared
+schedule a partial for a local result block is accumulated into it with
+`gemm`, a partial for another rank is computed on its own and sent, and a
+solve finishes each result block with an in-place `trsm`.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from .. import registry
 from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
 from ..grid import block_owner, rect_block_owner, vector_block_owner
+from . import blas
 from .objects import LocalPiece, fill_block, owned_blocks
 
 
@@ -126,11 +134,11 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
         downer = block_owner(J, J, grid)
         # factor the diagonal block
         if me == downer:
+            L = blocks[(J, J)]
             try:
-                L = la.cholesky(blocks[(J, J)], lower=True, check_finite=False)
-            except la.LinAlgError:
+                blas.potrf(L)
+            except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(J) from None
-            blocks[(J, J)] = L
             ctx.log_event("factor", J, J)
             for dest in sorted({block_owner(I, J, grid)
                                 for I in range(J + 1, B + 1)}):
@@ -146,8 +154,7 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
                 Ljj = ctx.recv(downer, (out_name, "diag", J, J), (bs, bs))
                 peak = max(peak, owned + 1)
             for I in my_rows:
-                blocks[(I, J)] = la.solve_triangular(
-                    Ljj, blocks[(I, J)].T, lower=True, check_finite=False).T
+                blas.trsm(Ljj, blocks[(I, J)], right=True, trans=True)
                 ctx.log_event("solve", I, J)
         # trailing updates, one task at a time
         for C in range(J + 1, B + 1):
@@ -172,10 +179,10 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
                         held += 1
                 peak = max(peak, owned + held)
                 if R == C:
-                    W = ins[0]
-                    blocks[(R, C)] -= np.tril(W @ W.T)
+                    blas.syrk(ins[0], blocks[(R, C)])
                 else:
-                    blocks[(R, C)] -= ins[0] @ ins[1].T
+                    blas.gemm(ins[0], ins[1], blocks[(R, C)], -1.0,
+                              trans_b=True)
                 ctx.log_event("update", R, C)
     return {"peak_blocks": peak, "owned_blocks": owned}
 
@@ -274,8 +281,11 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         _, x_owner, x_key, x_shape, phase = _operand(X, grid)
         xs = res.blocks if solving else X.blocks  # what the partials multiply
     transposed = op in ("back", "xprod")
-    combine = np.subtract if solving or subtract else np.add
-    # accumulator start, product and finish of one result block
+    sign = -1.0 if solving or subtract else 1.0
+    combine = np.subtract if sign < 0 else np.add
+    # accumulator start, products and finish of one result block: a
+    # partial for another rank is computed on its own, a local one is
+    # accumulated in place
     if in_place:
         start = lambda key: res.blocks[key]
     elif solving:
@@ -284,8 +294,12 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         start = lambda key: np.zeros(shape)
     if X is None:
         product = lambda Mb, xk: np.einsum("ij,ij->j", Mb, Mb)
+        accumulate = lambda acc, Mb, xk: combine(acc, product(Mb, xk),
+                                                 out=acc)
     else:
         product = lambda Mb, xk: (Mb.T if transposed else Mb) @ xk
+        accumulate = lambda acc, Mb, xk: blas.gemm(Mb, xk, acc, sign,
+                                                   trans_a=transposed)
     if solving:
         bs = M.row_layout.block_size
 
@@ -295,9 +309,8 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                    ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
             if np.any(np.diag(Ljj) == 0.0):
                 raise SingularDiagonal(f"zero diagonal in block {J}")
-            return la.solve_triangular(Ljj, acc, lower=True,
-                                       trans=0 if op == "forward" else 1,
-                                       check_finite=False)
+            blas.trsm(Ljj, acc, trans=op == "back")
+            return acc
     else:  # V^T V keeps its diagonal blocks lower triangular
         finish = lambda J, c, acc: np.tril(acc) if square and J == c else acc
     for J, c in cells:
@@ -317,11 +330,10 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
             if where == me:
                 xk = (None if X is None else xs[x_key(K, c)] if xowner == me
                       else ctx.recv(xowner, tag, x_shape))
-                partial = product(M.blocks[mkey], xk)
                 if towner == me:
-                    combine(acc, partial, out=acc)
+                    accumulate(acc, M.blocks[mkey], xk)
                 else:
-                    ctx.send(towner, ps, partial)
+                    ctx.send(towner, ps, product(M.blocks[mkey], xk))
             elif towner == me:
                 combine(acc, ctx.recv(where, ps, shape), out=acc)
         if towner == me:

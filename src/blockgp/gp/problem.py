@@ -89,6 +89,8 @@ class KrigeProblem:
         "mu" is the prior mean at the observations;
       - "pred_mean": V exists too (predict, prediction_variance, simulate);
       - "se2": the prediction variances, kept on the master;
+      - "Sigma": the lower triangle of the posterior covariance, collected
+        to the master;
       - "LSigma": the posterior factor LSigma exists too.
     Besides these only `inputs` stays on the workers.  Each factor is built
     under the name it ends as (L, V, LSigma) and factored or solved in
@@ -335,12 +337,15 @@ class KrigeProblem:
         return se2
 
     def prediction_variance(self):
-        """Full posterior covariance at the prediction points (dense, symmetric)."""
+        """Full posterior covariance at the prediction points (dense,
+        symmetric); each call returns a new array."""
         self._check_grid()
-        self._ensure_prediction_basis(self.theta)
-        with self._clean_failure():
-            sigma = self._posterior_cov(self.theta, "Sigma")
-            lower = distla.collect(self.cluster, sigma, True)
+        state = self._ensure_prediction_basis(self.theta)
+        if "Sigma" not in state:
+            with self._clean_failure():
+                sigma = self._posterior_cov(self.theta, "Sigma")
+                state["Sigma"] = distla.collect(self.cluster, sigma, True)
+        lower = state["Sigma"]
         return lower + np.tril(lower, -1).T
 
     def simulate_realizations(self, r, post=True, zero_noise=False):

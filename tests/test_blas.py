@@ -1,0 +1,223 @@
+"""The in-place BLAS routines on C-ordered blocks (distla/blas.py)."""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+import scipy.linalg as la
+
+from blockgp.distla import blas
+
+from conftest import relerr, spd_matrix
+
+RTOL = 1e-12
+SIZES = [1, 7, 125]
+
+
+def _lower(bs, seed=0):
+    return np.linalg.cholesky(spd_matrix(bs, seed))
+
+
+def _misaligned(a, writeable=False):
+    """A copy of a whose data starts 4 bytes past an 8-byte boundary, an
+    `np.frombuffer` view, read-only unless `writeable`."""
+    raw = bytearray(a.nbytes + 12)
+    start = (-np.frombuffer(raw, np.uint8).ctypes.data) % 8 + 4
+    view = np.frombuffer(raw, np.float64, count=a.size,
+                         offset=start).reshape(a.shape)
+    view[...] = a
+    view.setflags(write=writeable)
+    assert not view.flags.aligned
+    return view
+
+
+class TestAgainstNumpy:
+    @pytest.mark.parametrize("bs", SIZES)
+    def test_potrf(self, bs):
+        a = spd_matrix(bs, seed=1)
+        upper = np.triu(np.full((bs, bs), 7.0), 1)
+        block = np.tril(a) + upper
+        blas.potrf(block)
+        assert relerr(np.tril(block), np.linalg.cholesky(a)) < RTOL
+        np.testing.assert_array_equal(np.triu(block, 1), upper)
+
+    def test_potrf_padded_diagonal_block(self):
+        # live 5 x 5 part, then the padding rule's identity tail
+        live = spd_matrix(5, seed=2)
+        block = np.eye(7)
+        block[:5, :5] = np.tril(live)
+        blas.potrf(block)
+        want = np.eye(7)
+        want[:5, :5] = np.linalg.cholesky(live)
+        assert relerr(block, want) < RTOL
+
+    def test_potrf_not_positive_definite(self):
+        block = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            blas.potrf(block)
+
+    @pytest.mark.parametrize("bs", SIZES)
+    def test_trsm_column_solve(self, bs):
+        # the Cholesky sweep's X := X L^-T
+        L = _lower(bs)
+        x = np.random.default_rng(3).standard_normal((bs, bs))
+        got = x.copy()
+        blas.trsm(L, got, right=True, trans=True)
+        want = la.solve_triangular(L, x.T, lower=True).T
+        assert relerr(got, want) < RTOL
+
+    @pytest.mark.parametrize("bs", SIZES)
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("shape", ["vector", "rectangular"])
+    def test_trsm_left(self, bs, trans, shape):
+        L = _lower(bs)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(bs if shape == "vector" else (bs, 3))
+        got = b.copy()
+        blas.trsm(L, got, trans=trans)
+        want = la.solve_triangular(L, b, lower=True, trans=int(trans))
+        assert got.shape == b.shape
+        assert relerr(got, want) < RTOL
+
+    @pytest.mark.parametrize("bs", SIZES)
+    def test_syrk(self, bs):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((bs, bs))
+        w = rng.standard_normal((bs, bs))
+        got = c.copy()
+        blas.syrk(w, got)
+        assert relerr(np.tril(got), np.tril(c - w @ w.T)) < RTOL
+        np.testing.assert_array_equal(np.triu(got, 1), np.triu(c, 1))
+
+    @pytest.mark.parametrize("bs", SIZES)
+    @pytest.mark.parametrize("trans_a", [False, True])
+    @pytest.mark.parametrize("trans_b", [False, True])
+    def test_gemm(self, bs, trans_a, trans_b):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((bs, bs + 2) if trans_a else (bs + 2, bs))
+        b = rng.standard_normal((3, bs) if trans_b else (bs, 3))
+        c = rng.standard_normal((bs + 2, 3))
+        got = c.copy()
+        blas.gemm(a, b, got, -1.0, trans_a=trans_a, trans_b=trans_b)
+        want = c - (a.T if trans_a else a) @ (b.T if trans_b else b)
+        assert relerr(got, want) < RTOL
+
+    @pytest.mark.parametrize("bs", SIZES)
+    @pytest.mark.parametrize("trans_a", [False, True])
+    def test_gemm_vector(self, bs, trans_a):
+        rng = np.random.default_rng(7)
+        a, x, c = (rng.standard_normal((bs, bs)), rng.standard_normal(bs),
+                   rng.standard_normal(bs))
+        got = c.copy()
+        blas.gemm(a, x, got, 1.0, trans_a=trans_a)
+        assert got.shape == (bs,)
+        assert relerr(got, c + (a.T if trans_a else a) @ x) < RTOL
+
+
+def _calls(bs=7):
+    """Each routine by name, as (call(operand, output), operand, output)."""
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((bs, bs))
+    return {
+        "potrf": (lambda _, out: blas.potrf(out), None, spd_matrix(bs, 9)),
+        "trsm": (lambda op, out: blas.trsm(op, out, right=True, trans=True),
+                 _lower(bs), m.copy()),
+        "syrk": (blas.syrk, m, spd_matrix(bs, 10)),
+        "gemm": (lambda op, out: blas.gemm(op, m, out, -1.0, trans_b=True),
+                 m.T.copy(), m.copy()),
+    }
+
+
+class TestArguments:
+    @pytest.mark.parametrize("which", ["trsm", "syrk", "gemm"])
+    @pytest.mark.parametrize("odd", ["misaligned-read-only", "f-ordered"])
+    def test_odd_operand_gives_the_same_bits(self, which, odd):
+        call, operand, out = _calls()[which]
+        if odd == "f-ordered":
+            copy = np.asfortranarray(operand)
+        else:
+            copy = _misaligned(operand)
+            assert not copy.flags.writeable
+        np.testing.assert_array_equal(copy, operand)
+        want, got = out.copy(), out.copy()
+        call(operand, want)
+        call(copy, got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", ["potrf", "trsm", "syrk", "gemm"])
+    @pytest.mark.parametrize("wrong", ["f-ordered", "read-only", "shape",
+                                       "misaligned", "float32"])
+    def test_wrong_output_raises_and_is_untouched(self, which, wrong):
+        call, operand, out = _calls()[which]
+        out = out + np.triu(np.ones_like(out), 1)  # not symmetric
+        if wrong == "f-ordered":
+            out = np.asfortranarray(out)
+        elif wrong == "read-only":
+            out.setflags(write=False)
+        elif wrong == "shape":
+            out = np.ascontiguousarray(out[:, :-1])
+        elif wrong == "misaligned":
+            out = _misaligned(out, writeable=True)
+        else:
+            out = out.astype(np.float32)
+        before = out.copy()
+        with pytest.raises(ValueError):
+            call(operand, out)
+        np.testing.assert_array_equal(out, before)
+
+    def test_inner_dimensions_checked(self):
+        c = np.zeros((3, 3))
+        with pytest.raises(ValueError):
+            blas.gemm(np.ones((3, 4)), np.ones((3, 3)), c, 1.0)
+        np.testing.assert_array_equal(c, 0.0)
+
+    def test_triangular_factor_must_be_square(self):
+        b = np.ones((3, 2))
+        with pytest.raises(ValueError):
+            blas.trsm(np.ones((3, 2)), b)
+        np.testing.assert_array_equal(b, 1.0)
+
+
+def _main_thread_stall(n=1000):
+    """(longest main-thread stall, call time) while another thread runs an
+    n x n gemm through the module."""
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    c = np.zeros((n, n))
+    span = []
+
+    def work():
+        t0 = time.perf_counter()
+        blas.gemm(a, b, c, 1.0)
+        span.extend([t0, time.perf_counter()])
+
+    worker = threading.Thread(target=work)
+    seen = [time.perf_counter()]  # when the main thread ran, 1 ms apart
+    worker.start()
+    while worker.is_alive():
+        now = time.perf_counter()
+        if now - seen[-1] > 1e-3:
+            seen.append(now)
+    worker.join(30)
+    assert not worker.is_alive() and span
+    t0, t1 = span
+    marks = [t0] + [t for t in seen if t0 < t < t1] + [t1]
+    return float(np.max(np.diff(marks))), t1 - t0
+
+
+def test_gemm_releases_the_gil():
+    # while one thread multiplies, the main thread keeps running Python; a
+    # call that holds the interpreter lock, or copies its operands under
+    # it, stops the main thread for the whole call or a large part of it.
+    # A busy host can also deschedule the main thread, so one of three
+    # calls must show no long stall; a call under the lock stalls in all.
+    tries = []
+    for _ in range(3):
+        stall, took = _main_thread_stall()
+        tries.append((stall, took))
+        if stall < took / 4:
+            break
+    else:
+        pytest.fail(f"main thread stalled (stall, call) in every try: "
+                    f"{tries}")

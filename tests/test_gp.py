@@ -190,6 +190,19 @@ class TestFreshness:
         assert cl.stats["collectives"] == before
         assert cl.drain_events() == []
 
+    def test_repeated_prediction_variance_issues_no_collectives(
+            self, cluster_factory):
+        cl = cluster_factory(3)
+        prob = _small_problem(cl)
+        first = prob.prediction_variance()
+        first[0, 0] = np.nan  # the caller's copy; the kept one is untouched
+        before = cl.stats["collectives"]
+        second = prob.prediction_variance()
+        assert cl.stats["collectives"] == before
+        fresh = _small_problem(cluster_factory(3)).prediction_variance()
+        assert second.tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(second, second.T)
+
     def test_changing_theta_invalidates(self, cluster_factory):
         cl = cluster_factory(3)
         rng = np.random.default_rng(4)
@@ -489,6 +502,12 @@ class KrigeMachine(RuleBasedStateMachine):
     def predict_repeat(self):
         self.check(lambda: self.prob.predict(se_fit=True), self.prob.theta,
                    "predict", True, repeat_free=True)
+
+    @rule()
+    def prediction_variance_repeat(self):
+        # the collected posterior covariance is kept for the theta
+        self.check(self.prob.prediction_variance, self.prob.theta,
+                   "prediction_variance", repeat_free=True)
 
     @rule()
     def simulate_repeat(self):

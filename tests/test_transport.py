@@ -243,6 +243,19 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             wire.decode_body(bytes(body))
 
+    @pytest.mark.parametrize("name_len", range(10))
+    def test_payload_is_aligned_for_every_name_length(self, name_len):
+        payload = np.arange(12.0).reshape(3, 4)
+        frame = wire.encode_data(1, 2, 3, ("n" * name_len, "col", 2, 1),
+                                 payload)
+        body = bytearray(frame[4:])  # what read_frame returns
+        assert np.frombuffer(body, np.uint8).ctypes.data % 8 == 0
+        _, _, _, _, tag, got = wire.decode_body(body)
+        assert tag == ("n" * name_len, "col", 2, 1)
+        assert got.ctypes.data % 8 == 0 and got.flags.aligned
+        assert got.flags.writeable
+        np.testing.assert_array_equal(got, payload.ravel())
+
     def test_frame_written_in_pieces_reads_whole_and_writable(self):
         payload = np.arange(40.0).reshape(5, 8)
         frame = wire.encode_data(1, 3, 2, ("blk", "ps", 4, 2), payload)
