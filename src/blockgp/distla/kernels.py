@@ -2,10 +2,10 @@
 
 Every kernel walks the same globally-known schedule on every worker; data
 dependencies are enforced purely by tag-matched blocking receives, so results
-are deterministic for a fixed (P, h, seed).  Sends are non-blocking and each
-consumer receives its own copy of a block, which keeps the number of
-simultaneously-resident blocks on a worker bounded during the Cholesky sweep
-(owned blocks plus at most a handful of in-flight temporaries).
+are deterministic for a fixed (P, h, seed).  Sends are non-blocking.  In
+each Cholesky step the owner of a solved column block sends it once to each
+rank whose trailing blocks use it, and that rank holds it from its first use
+to its last, in the order one pure plan (`_trailing_plan`) gives.
 
 Block ownership comes only from `grid.py`, and `_operand` is the one rule
 for addressing a vector or rectangular operand; vectors live on the diagonal
@@ -26,6 +26,8 @@ schedule a partial for a local result block is accumulated into it with
 `gemm`, a partial for another rank is computed on its own and sent, and a
 solve finishes each result block with an in-place `trsm`.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -114,10 +116,13 @@ def cholesky(ctx, name, out_name):
     """Right-looking block Cholesky over the folded triangular layout.
 
     Factors in place (the input name is consumed).  Column J of each step:
-    the diagonal owner factors, column owners triangular-solve, then every
-    trailing block (R, C) is updated with the pair L(R,J), L(C,J), each
-    received as a per-use copy and released immediately.  Returns the peak
-    number of simultaneously-resident blocks for the memory-bound check.
+    the diagonal owner factors, column owners triangular-solve and send each
+    solved L(X, J) once to every rank that uses it, then every trailing
+    block (R, C) is updated with the pair L(R,J), L(C,J) in the order of its
+    owner's plan, which holds each received block from its first use to its
+    last (see `_trailing_plan`).  Returns the peak number of owned plus held
+    blocks, for the memory-bound check; blocks waiting in the mailbox are not
+    counted.
     """
     piece = ctx.fetch(name)
     if out_name != name:
@@ -144,7 +149,8 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
                                 for I in range(J + 1, B + 1)}):
                 if dest != me:
                     ctx.send(dest, (out_name, "diag", J, J), L)
-        # triangular solves down column J
+        # triangular solves down column J, each block sent on as soon as
+        # it is solved, once to each rank whose trailing blocks use it
         my_rows = [I for I in range(J + 1, B + 1)
                    if block_owner(I, J, grid) == me]
         if my_rows:
@@ -156,35 +162,62 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
             for I in my_rows:
                 blas.trsm(Ljj, blocks[(I, J)], right=True, trans=True)
                 ctx.log_event("solve", I, J)
-        # trailing updates, one task at a time
-        for C in range(J + 1, B + 1):
-            for R in range(C, B + 1):
-                towner = block_owner(R, C, grid)
-                srcs = [(R, block_owner(R, J, grid))]
-                if R != C:
-                    srcs.append((C, block_owner(C, J, grid)))
-                for X, xowner in srcs:
-                    if xowner == me and towner != me:
-                        ctx.send(towner, (out_name, "col", X, J), blocks[(X, J)])
-                if towner != me:
-                    continue
-                held = 0
-                ins = []
-                for X, xowner in srcs:
-                    if xowner == me:
-                        ins.append(blocks[(X, J)])
-                    else:
-                        ins.append(ctx.recv(xowner, (out_name, "col", X, J),
-                                            (bs, bs)))
-                        held += 1
-                peak = max(peak, owned + held)
-                if R == C:
-                    blas.syrk(ins[0], blocks[(R, C)])
-                else:
-                    blas.gemm(ins[0], ins[1], blocks[(R, C)], -1.0,
-                              trans_b=True)
-                ctx.log_event("update", R, C)
+                for dest in sorted({block_owner(max(I, X), min(I, X), grid)
+                                    for X in range(J + 1, B + 1)}):
+                    if dest != me:
+                        ctx.send(dest, (out_name, "col", I, J),
+                                 blocks[(I, J)])
+            del Ljj
+        # trailing updates, walking this rank's plan
+        held = {}
+        for R, C, receive, done in _trailing_plan(J, B, grid, me):
+            for X in receive:
+                held[X] = ctx.recv(block_owner(X, J, grid),
+                                   (out_name, "col", X, J), (bs, bs))
+            peak = max(peak, owned + len(held))
+            Lr, Lc = (held[X] if X in held else blocks[(X, J)] for X in (R, C))
+            if R == C:
+                blas.syrk(Lr, blocks[(R, C)])
+            else:
+                blas.gemm(Lr, Lc, blocks[(R, C)], -1.0, trans_b=True)
+            ctx.log_event("update", R, C)
+            for X in done:
+                del held[X]
     return {"peak_blocks": peak, "owned_blocks": owned}
+
+
+def _trailing_plan(J, B, grid, coord):
+    """The step-J trailing updates of rank `coord`, in the order it runs
+    them: one (R, C, receive, done) per block (R, C) it owns, where
+    `receive` lists the remote L(X, J) the update receives first and
+    `done` those whose last use it is.  Each remote block is received once
+    and held from its first use to its last.
+
+    Updates are sorted by their leading remote input, then by (R, C); the
+    leading input is the largest of the update's remote inputs in the
+    residue class (X mod D) with more remote blocks.  A rank with inputs
+    from one class (D = 2, or a diagonal rank) so runs by largest input and
+    holds at most that class; an off-diagonal rank at D >= 3 with inputs
+    from two classes streams the larger class and holds the smaller one
+    plus one block.
+    """
+    tasks = [(R, C, {X for X in (R, C) if block_owner(X, J, grid) != coord})
+             for C in range(J + 1, B + 1) for R in range(C, B + 1)
+             if block_owner(R, C, grid) == coord]
+    size = Counter(X % grid.D for X in {X for t in tasks for X in t[2]})
+
+    def leading(xs):
+        return min(xs, key=lambda X: (-size[X % grid.D], X % grid.D, -X),
+                   default=0)
+    tasks.sort(key=lambda t: (leading(t[2]), t[0], t[1]))
+    first, last = {}, {}
+    for k, (_, _, xs) in enumerate(tasks):
+        for X in xs:
+            first.setdefault(X, k)
+            last[X] = k
+    return [(R, C, sorted(X for X in xs if first[X] == k),
+             sorted(X for X in xs if last[X] == k))
+            for k, (R, C, xs) in enumerate(tasks)]
 
 
 # ---------------------------------------------------------------------------

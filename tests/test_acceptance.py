@@ -86,11 +86,7 @@ def _sweep_cell(cl, A, b, R, h, oracle):
                    relerr(distla.collect(cl, w), Wc.T @ uc),
                    relerr(distla.collect(cl, S), np.tril(Wc.T @ Wc)),
                    relerr(distla.collect(cl, d), np.diag(Wc.T @ Wc)))
-    peak_ok = True
-    for rank, s in enumerate(stats, start=1):
-        coord = cl.grid.rank_to_coord(rank)
-        if coord[0] != coord[1]:
-            peak_ok &= s["peak_blocks"] <= h * h + 4
+    peak_ok = all(s["peak_blocks"] <= h * h + 4 for s in stats)
     peak_storage = sum(s["peak_blocks"] for s in stats) * rows.block_size ** 2
     return err2, err_solve, err_prod, peak_ok, peak_storage
 

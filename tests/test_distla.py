@@ -7,7 +7,9 @@ from blockgp import distla, registry
 from blockgp.errors import (DimensionMismatch, GeneratorError,
                             NotPositiveDefinite, SingularDiagonal)
 from blockgp.gp import BUILTIN_KERNELS, matern_correlation, sqexp_correlation
-from blockgp.grid import rect_block_owner
+from blockgp.distla.kernels import _trailing_plan
+from blockgp.grid import (BlockLayout, ProcessGrid, block_owner,
+                          rect_block_owner, triangular_blocks)
 from blockgp.transport import wire
 from blockgp.transport.inprocess import InProcessCluster
 
@@ -48,6 +50,27 @@ def _padded_triangular(cl, name, layout):
         for (I, J), block in cl.pull(name, rank).blocks.items():
             A[(I - 1) * bs:I * bs, (J - 1) * bs:J * bs] = block
     return A
+
+
+def _assert_drained(cl):
+    """Every message a collective sent was received: no worker's mailbox
+    has anything left in its stash or its incoming queue."""
+    for rank, w in cl._workers.items():
+        mailbox = w.core.mailbox
+        assert not any(mailbox._stash.values()), f"rank {rank} stash"
+        assert mailbox._incoming.empty(), f"rank {rank} incoming queue"
+
+
+def _counting_deliveries(monkeypatch):
+    """Record (dst, tag) of every in-process delivery from now on."""
+    delivered = []
+    deliver = InProcessCluster._deliver
+
+    def counted(self, src, dst, tag, payload):
+        delivered.append((dst, tag))
+        deliver(self, src, dst, tag, payload)
+    monkeypatch.setattr(InProcessCluster, "_deliver", counted)
+    return delivered
 
 
 def _entrywise_reference(kernel, theta, X, Y, same, inputs):
@@ -321,16 +344,39 @@ class TestCholesky:
         assert relerr(distla.collect(cl, L), np.linalg.cholesky(A)) <= 1e-12
 
     def test_memory_instrument_bound(self, cluster_factory):
+        # on every rank, diagonal ones included: they hold up to h
+        # received blocks
+        for P, h in [(3, 1), (3, 4), (3, 8), (6, 2), (6, 3), (10, 3)]:
+            cl = cluster_factory(P)
+            n = 2 * h * cl.grid.D
+            C = distla.distribute(cl, "C", spd_matrix(n, seed=1),
+                                  "triangular", _layout(cl, n, h))
+            _, stats = distla.distributed_cholesky(cl, C, "L")
+            _, plan_peaks = _plan_replay(h, cl.grid.D)
+            for rank, s in enumerate(stats, start=1):
+                coord = cl.grid.rank_to_coord(rank)
+                owned = (h * (h + 1) // 2 if coord[0] == coord[1] else h * h)
+                assert s["owned_blocks"] == owned
+                assert s["peak_blocks"] <= h * h + 4
+                assert s["peak_blocks"] == plan_peaks[coord]
+            cl.shutdown()
+
+    def test_send_once_peak_past_bound_on_three_columns(self,
+                                                         cluster_factory):
+        # an off-diagonal rank at D >= 3 whose step-J inputs are all remote
+        # updates every pair of h blocks from one class and h from another;
+        # receiving each once, it holds one class plus one block, h + 1,
+        # so at h >= 4 it passes h^2 + 4
         cl = cluster_factory(6)
-        h = 2
-        A = spd_matrix(36, seed=1)
-        C = distla.distribute(cl, "C", A, "triangular", _layout(cl, 36, h))
+        h = 6
+        n = 2 * h * cl.grid.D
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=1), "triangular",
+                              _layout(cl, n, h))
         _, stats = distla.distributed_cholesky(cl, C, "L")
+        _, plan_peaks = _plan_replay(h, cl.grid.D)
         for rank, s in enumerate(stats, start=1):
-            coord = cl.grid.rank_to_coord(rank)
-            owned = (h * (h + 1) // 2 if coord[0] == coord[1] else h * h)
-            assert s["owned_blocks"] == owned
-            assert s["peak_blocks"] <= h * h + 4
+            assert s["peak_blocks"] == plan_peaks[cl.grid.rank_to_coord(rank)]
+        assert max(s["peak_blocks"] for s in stats) == h * h + h + 1
 
     def test_critical_path_event_order(self, cluster_factory):
         cl = cluster_factory(6)
@@ -358,6 +404,77 @@ class TestCholesky:
         for (R, Cc), t in first_update.items():
             assert t > t_solve.get((R, 1), t_factor[(1, 1)])
             assert t > t_solve.get((Cc, 1), t_factor[(1, 1)])
+
+
+def _plan_replay(h, D):
+    """Replay every rank's step plans for one Cholesky: each remote input
+    is received once and held when its update runs.  Returns the number
+    of column blocks received and each rank's peak of owned plus held
+    blocks (a received diagonal block counts while the column solves)."""
+    grid = ProcessGrid(D)
+    lay = BlockLayout(h * D, h, D)
+    total, peaks = 0, {}
+    for coord in grid.coords():
+        owned = peak = len(triangular_blocks(coord, lay, grid))
+        for J in range(1, lay.B + 1):
+            if block_owner(J, J, grid) != coord and any(
+                    block_owner(I, J, grid) == coord
+                    for I in range(J + 1, lay.B + 1)):
+                peak = max(peak, owned + 1)
+            held = set()
+            for R, C, receive, done in _trailing_plan(J, lay.B, grid, coord):
+                assert not held & set(receive)
+                held |= set(receive)
+                peak = max(peak, owned + len(held))
+                for X in (R, C):
+                    assert (X in held) == (block_owner(X, J, grid) != coord)
+                held -= set(done)
+                total += len(receive)
+            assert not held
+        peaks[coord] = peak
+    return total, peaks
+
+
+class TestCholeskyTraffic:
+    """Each rank receives a column block L(X, J) once per step, as its
+    trailing plan says, and every message sent is received."""
+
+    @pytest.mark.parametrize("h,want", [(2, 6), (4, 28), (6, 66), (8, 120)])
+    def test_plan_receives_on_two_columns(self, h, want):
+        assert _plan_replay(h, 2)[0] == want
+
+    @pytest.mark.parametrize("h", [1, 2, 4, 8])
+    def test_each_column_block_delivered_once(self, cluster_factory,
+                                              monkeypatch, h):
+        delivered = _counting_deliveries(monkeypatch)
+        cl = cluster_factory(3)
+        n = 3 * h * cl.grid.D
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=h), "triangular",
+                              _layout(cl, n, h))
+        delivered.clear()
+        distla.distributed_cholesky(cl, C, "L")
+        cols = [(dst, tag[2], tag[3]) for dst, tag in delivered
+                if tag[1] == "col"]
+        assert cols and len(cols) == len(set(cols))
+        assert len(cols) == _plan_replay(h, cl.grid.D)[0]
+
+    @pytest.mark.parametrize("P,h", [(3, 8), (6, 6), (10, 3)])
+    def test_deliveries_replay_the_plan(self, cluster_factory, monkeypatch,
+                                        P, h):
+        # the senders send exactly what the plans receive, once per
+        # (rank, block) on every D
+        delivered = _counting_deliveries(monkeypatch)
+        cl = cluster_factory(P)
+        n = h * cl.grid.D + 1
+        A = spd_matrix(n, seed=P)
+        C = distla.distribute(cl, "C", A, "triangular", _layout(cl, n, h))
+        delivered.clear()
+        L, _ = distla.distributed_cholesky(cl, C, "L")
+        _assert_drained(cl)
+        cols = [(dst, tag[2], tag[3]) for dst, tag in delivered
+                if tag[1] == "col"]
+        assert len(cols) == len(set(cols)) == _plan_replay(h, cl.grid.D)[0]
+        assert relerr(distla.collect(cl, L), np.linalg.cholesky(A)) <= 1e-12
 
 
 class TestTriangularSolves:
@@ -653,7 +770,7 @@ class TestSchedules:
     # (messages, payload bytes) per phase of each kernel call on P=3, with
     # padded rows (n=13, block size 4) and columns (m=7, block size 2)
     TRAFFIC = {
-        "cholesky": {"col": (9, 1152), "diag": (3, 384)},
+        "cholesky": {"col": (6, 768), "diag": (3, 384)},
         "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
         "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
         "solve_rect_forward": {"col": (12, 768), "diag": (8, 1024),
@@ -695,6 +812,7 @@ class TestSchedules:
         def traffic(call):
             sent.clear()
             call()
+            _assert_drained(cl)
             out = {}
             for phase, nbytes in sent:
                 msgs, total = out.get(phase, (0, 0))
