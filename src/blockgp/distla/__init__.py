@@ -8,7 +8,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from ..errors import BlockGPError, DimensionMismatch
+from ..errors import BlockGPError, DimensionMismatch, SingularDiagonal
 from ..grid import BlockLayout, default_h
 from . import kernels  # noqa: F401  (registers the worker kernels)
 from .objects import (DistRectangular, DistTriangular, DistVector, LocalPiece,
@@ -62,10 +62,10 @@ def construct_distributed(cluster, name, kind, generator, params,
 
 
 def construct_rnorm_distributed(cluster, name, kind, row_layout,
-                                col_layout=None, fill="normal"):
+                                col_layout=None):
     """Distributed i.i.d. N(0,1) object drawn from per-rank streams."""
     _run_into(cluster, name, "distla.rnorm", name=name, kind=kind,
-              row_layout=row_layout, col_layout=col_layout, fill=fill)
+              row_layout=row_layout, col_layout=col_layout)
     return _handle(kind, name, row_layout, col_layout)
 
 
@@ -163,38 +163,55 @@ def crossprod_self_diag(cluster, V, out_name):
     return DistVector(out_name, V.col_layout)
 
 
+def _collect(cluster, handle, release=False, diagonal_only=False):
+    """The one collect collective, assembled on the master.  The public
+    functions below share it rather than call each other, so each of their
+    calls is one collective of its own."""
+    if diagonal_only:
+        _check_square(handle)
+        kind, rl, cl = "vector", handle.layout, None
+    elif isinstance(handle, DistTriangular):
+        kind, rl, cl = "triangular", handle.layout, handle.layout
+    elif isinstance(handle, DistRectangular):
+        kind, rl, cl = "rectangular", handle.row_layout, handle.col_layout
+    else:
+        kind, rl, cl = "vector", handle.layout, None
+    pieces = cluster.run("distla.collect", name=handle.name, release=release,
+                         diagonal_only=diagonal_only)
+    return assemble(kind, pieces, rl, cl)
+
+
 def collect(cluster, handle, release=False):
     """Reassemble the unpadded dense object on the master.
 
     Triangular objects come back as dense lower-triangular arrays.  With
     `release` the workers drop the object as they ship it.
     """
-    if isinstance(handle, DistTriangular):
-        kind, rl, cl = "triangular", handle.layout, handle.layout
-    elif isinstance(handle, DistRectangular):
-        kind, rl, cl = "rectangular", handle.row_layout, handle.col_layout
-    else:
-        kind, rl, cl = "vector", handle.layout, None
-    pieces = cluster.run("distla.collect", name=handle.name, release=release)
-    return assemble(kind, pieces, rl, cl)
+    return _collect(cluster, handle, release=release)
 
 
 def collect_diagonal(cluster, handle):
     """Diagonal of a distributed triangular matrix, unpadded."""
-    _check_square(handle)
-    pieces = cluster.run("distla.collect", name=handle.name, diagonal_only=True)
-    return assemble("vector", pieces, handle.layout)
+    return _collect(cluster, handle, diagonal_only=True)
 
 
 def log_det_from_chol(cluster, L):
-    """log det C = 2 sum log diag(L), reduced in rank order."""
-    _check_square(L)
-    return float(sum(cluster.run("distla.logdet", l_name=L.name)))
+    """log det C = 2 sum log diag(L), summed on the master from L's
+    collected diagonal.  A diagonal entry that is not positive raises
+    SingularDiagonal naming its block; the workers keep L as it was."""
+    d = _collect(cluster, L, diagonal_only=True)
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        block = bad[0] // L.layout.block_size + 1
+        raise SingularDiagonal(f"non-positive diagonal in block {block}")
+    return 2.0 * float(np.sum(np.log(d)))
 
 
 def sum_squares(cluster, vec):
-    """Squared Euclidean norm of a distributed vector."""
-    return float(sum(cluster.run("distla.sumsq", name=vec.name)))
+    """Squared Euclidean norm of a distributed vector, computed on the
+    master from the collected vector; the workers keep the vector."""
+    x = _collect(cluster, vec)
+    return float(x @ x)
 
 
 __all__ = [

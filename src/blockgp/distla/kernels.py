@@ -90,12 +90,11 @@ def construct(ctx, name, kind, generator, params, inputs_name,
 
 
 @registry.register("distla.rnorm")
-def construct_rnorm(ctx, name, kind, row_layout, col_layout=None, fill="normal"):
+def construct_rnorm(ctx, name, kind, row_layout, col_layout=None):
     """Fill owned blocks with i.i.d. N(0,1) draws from this rank's stream.
 
     Padded positions are drawn too (keeping the stream position a pure
     function of the block size) and then dropped by fill_block.
-    `fill="zeros"` is the test hook for noise-free simulation.
     """
     bs = row_layout.block_size
     shape = ((bs,) if kind == "vector"
@@ -103,8 +102,7 @@ def construct_rnorm(ctx, name, kind, row_layout, col_layout=None, fill="normal")
     draw = int(np.prod(shape))
 
     def values(key):
-        z = np.zeros(draw) if fill == "zeros" else ctx.normals(draw)
-        return z.reshape(shape, order="F")
+        return ctx.normals(draw).reshape(shape, order="F")
     _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
@@ -375,35 +373,8 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
 
 
 # ---------------------------------------------------------------------------
-# reductions and collection
-
-@registry.register("distla.logdet")
-def logdet(ctx, l_name):
-    """Local contribution 2 * sum(log diag) over unpadded diagonal entries."""
-    Lp = ctx.fetch(l_name)
-    total = 0.0
-    for (I, J), block in sorted(Lp.blocks.items()):
-        if I != J:
-            continue
-        k = Lp.row_layout.live(I)
-        d = np.diag(block)[:k.stop - k.start]
-        if np.any(d <= 0.0):
-            raise SingularDiagonal(f"non-positive diagonal in block {I}")
-        total += 2.0 * float(np.sum(np.log(d)))
-    return total
-
-
-@registry.register("distla.sumsq")
-def sumsq(ctx, name):
-    """Local sum of squares of unpadded vector entries."""
-    xp = ctx.fetch(name)
-    total = 0.0
-    for J, block in sorted(xp.blocks.items()):
-        k = xp.row_layout.live(J)
-        live = block[:k.stop - k.start]
-        total += float(np.dot(live, live))
-    return total
-
+# collection: the master assembles what is shipped, and finishes the
+# log-determinant and sums of squares from a collected diagonal or vector
 
 @registry.register("distla.collect")
 def collect_blocks(ctx, name, diagonal_only=False, release=False):

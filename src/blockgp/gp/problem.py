@@ -348,15 +348,13 @@ class KrigeProblem:
         lower = state["Sigma"]
         return lower + np.tril(lower, -1).T
 
-    def simulate_realizations(self, r, post=True, zero_noise=False):
+    def simulate_realizations(self, r, post=True):
         """r realizations: rows are points, columns are draws.
 
         Unconditional draws are mu + L z; conditional draws are the posterior
         mean plus L_Sigma z with L_Sigma the Cholesky factor of the posterior
         covariance (no jitter is applied if that factorization fails).
-        `zero_noise` suppresses z for exactness tests.
         """
-        fill = "zeros" if zero_noise else "normal"
         r_layout = distla.make_layout(int(r), self.cluster.grid, self.h_r)
         if post:
             self._check_grid()
@@ -367,6 +365,6 @@ class KrigeProblem:
         with self._clean_failure():
             z = distla.construct_rnorm_distributed(
                 self.cluster, self._nm("Z"), "rectangular", factor.layout,
-                r_layout, fill=fill)
+                r_layout)
             lz = distla.mult_chol(self.cluster, factor, z, z.name)
             return base[:, None] + distla.collect(self.cluster, lz, True)

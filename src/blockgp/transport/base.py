@@ -185,9 +185,8 @@ class WorkerCore:
 class Cluster:
     """Master-side handle; concrete backends implement _dispatch."""
 
-    def __init__(self, grid, seed):
+    def __init__(self, grid):
         self.grid = grid
-        self.seed = seed
         self.state = "running"
         self.epoch = 0
         self.stats = {"collectives": 0}

@@ -38,7 +38,7 @@ class _WorkerThread:
 class InProcessCluster(Cluster):
 
     def __init__(self, grid, seed):
-        super().__init__(grid, seed)
+        super().__init__(grid)
         self._workers = {}
         for rank in self._all():
             self._workers[rank] = _WorkerThread(rank, grid, seed, self._deliver)

@@ -31,7 +31,7 @@ _SPAWN_POLL = 0.1  # seconds between checks for a worker that has exited
 class SocketCluster(Cluster):
 
     def __init__(self, grid, seed, blas_threads=None):
-        super().__init__(grid, seed)
+        super().__init__(grid)
         self._socks = {}
         self._locks = {}
         self._res_q = {r: queue.SimpleQueue() for r in self._all()}

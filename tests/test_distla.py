@@ -1,5 +1,7 @@
 """Distributed linear-algebra kernels against serial dense oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -739,6 +741,44 @@ class TestScalars:
         xd = distla.distribute(cl, "x", x, "vector", layout)
         assert abs(distla.sum_squares(cl, xd) - x @ x) <= 1e-12 * (x @ x)
 
+    @pytest.mark.parametrize("index, value, block", [(6, 0.0, 4),
+                                                     (3, -2.0, 2)])
+    def test_logdet_non_positive_diagonal_names_its_block(
+            self, cluster_factory, index, value, block):
+        # n=7 on P=3 with h=2: four blocks of two, the last one padded
+        cl = cluster_factory(3)
+        layout = _layout(cl, 7, 2)
+        A = np.tril(np.ones((7, 7))) + np.eye(7)
+        A[index, index] = value
+        L = distla.distribute(cl, "L", A, "triangular", layout)
+        before = [cl.pull("L", rank).blocks for rank in range(1, 4)]
+        issued = cl.stats["collectives"]
+        with pytest.raises(SingularDiagonal, match=f"in block {block}$"):
+            distla.log_det_from_chol(cl, L)
+        assert cl.stats["collectives"] == issued + 1
+        for rank, blocks in enumerate(before, 1):
+            assert cl.remote_ls(rank) == ["L"]
+            after = cl.pull("L", rank).blocks
+            assert after.keys() == blocks.keys()
+            for key, want in blocks.items():
+                np.testing.assert_array_equal(after[key], want)
+
+    def test_scalars_issue_one_collective_each(self, cluster_factory):
+        cl = cluster_factory(3)
+        layout = _layout(cl, 7, 2)
+        L = distla.distribute(cl, "L", 2.0 * np.eye(7), "triangular", layout)
+        x = np.arange(7.0)
+        xd = distla.distribute(cl, "x", x, "vector", layout)
+        for call, handle, want in ((distla.log_det_from_chol, L,
+                                    7 * np.log(4.0)),
+                                   (distla.sum_squares, xd, x @ x)):
+            issued = cl.stats["collectives"]
+            assert call(cl, handle) == pytest.approx(want, rel=1e-15)
+            assert cl.stats["collectives"] == issued + 1
+        # neither call releases its operand
+        np.testing.assert_array_equal(distla.collect(cl, xd), x)
+        assert distla.sum_squares(cl, xd) == x @ x
+
 
 class TestLayoutInvariance:
     def test_results_identical_across_layouts(self, cluster_factory):
@@ -837,3 +877,39 @@ class TestSchedules:
         got["xprod_self_sub"] = traffic(
             lambda: distla.crossprod_self(cl, R, "S", subtract=True))
         assert got == self.TRAFFIC
+
+
+def test_every_registered_kernel_has_a_public_caller(cluster_factory,
+                                                     monkeypatch):
+    """Every public distla function, run once, issues between them exactly
+    the registered distla.* kernels: none is left that nothing calls."""
+    cl = cluster_factory(3)
+    issued, called, run = set(), set(), cl.run
+    monkeypatch.setattr(cl, "run", lambda fn_id, **kw: issued.add(fn_id)
+                        or run(fn_id, **kw))
+    public = {name for name in distla.__all__
+              if inspect.isfunction(getattr(distla, name))}
+    for name in public:
+        fn = getattr(distla, name)
+        monkeypatch.setattr(distla, name, lambda *a, _name=name, _fn=fn, **k:
+                            called.add(_name) or _fn(*a, **k))
+    rows = distla.make_layout(7, cl.grid, h=2)
+    cols = distla.make_layout(3, cl.grid, h=1)
+    C = distla.distribute(cl, "C", spd_matrix(7), "triangular", rows)
+    L, _ = distla.distributed_cholesky(cl, C, "C")
+    b = distla.distribute(cl, "b", np.ones(7), "vector", rows)
+    u = distla.triangular_solve(cl, L, b, "u", side="forward")
+    distla.mult_chol(cl, L, u, "w")
+    V = distla.construct_distributed(cl, "V", "rectangular", "test.full_block",
+                                     [], row_layout=rows, col_layout=cols)
+    distla.crossprod_mat_vec(cl, V, u, "p")
+    distla.crossprod_self(cl, V, "S")
+    distla.crossprod_self_diag(cl, V, "s")
+    distla.construct_rnorm_distributed(cl, "Z", "rectangular", rows, cols)
+    distla.collect(cl, u)
+    distla.collect_diagonal(cl, L)
+    distla.log_det_from_chol(cl, L)
+    distla.sum_squares(cl, u)
+    assert called == public
+    assert issued == {fn_id for fn_id in registry._FUNCTIONS
+                      if fn_id.startswith("distla.")}

@@ -15,6 +15,7 @@ from blockgp.errors import (BlockGPError, DimensionMismatch,
                             NotPositiveDefinite, UnsupportedSmoothness)
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
                         matern_correlation, sqexp_correlation)
+from blockgp.rng import RankStream
 
 from conftest import exp_cov, relerr
 
@@ -34,6 +35,13 @@ def _problem(cl, coords, y, theta, kernel="matern-nugget", pred=None, h=1,
     spec = builtin_spec(kernel, coords, pred, **inputs)
     m = 0 if pred is None else len(pred)
     return KrigeProblem(cl, "t", spec, y, theta, m=m, h_n=h, h_m=h, h_r=h)
+
+
+def _zero_draws(monkeypatch):
+    """Make every in-process rank's stream draw zeros, so a simulation
+    returns its mean exactly."""
+    monkeypatch.setattr(RankStream, "standard_normals",
+                        lambda self, count: np.zeros(int(count)))
 
 
 THETAS = {"A": np.array([1.0, 1.0, 0.1]), "B": np.array([1.3, 0.7, 0.2]),
@@ -264,7 +272,7 @@ class TestFreshness:
         cl.run = lambda fn_id, **kw: issued.append(fn_id) or run(fn_id, **kw)
         prob.log_density(THETAS["B"])
         assert issued == ["distla.construct", "distla.cholesky",
-                          "distla.solve", "distla.logdet", "distla.sumsq"]
+                          "distla.solve", "distla.collect", "distla.collect"]
 
     def test_close_is_one_dispatch(self, cluster_factory):
         cl = cluster_factory(3)
@@ -495,8 +503,8 @@ class KrigeMachine(RuleBasedStateMachine):
     @rule()
     def simulate(self):
         for post in (True, False):
-            self.check(lambda: self.prob.simulate_realizations(3, post, True),
-                       self.prob.theta, "simulate_realizations", 3, post, True)
+            self.check(lambda: self.prob.simulate_realizations(3, post),
+                       self.prob.theta, "simulate_realizations", 3, post)
 
     @rule()
     def predict_repeat(self):
@@ -512,8 +520,8 @@ class KrigeMachine(RuleBasedStateMachine):
     @rule()
     def simulate_repeat(self):
         # a repeat at one theta only draws: LSigma is kept for the theta
-        self.check(lambda: self.prob.simulate_realizations(3, True, True),
-                   self.prob.theta, "simulate_realizations", 3, True, True,
+        self.check(lambda: self.prob.simulate_realizations(3, True),
+                   self.prob.theta, "simulate_realizations", 3, True,
                    repeat_issues=["distla.rnorm", "distla.mult",
                                   "distla.collect"])
 
@@ -521,8 +529,8 @@ class KrigeMachine(RuleBasedStateMachine):
     def unconditional_repeat(self):
         # a repeat at one theta only draws: the prior mean is kept once
         # collected
-        self.check(lambda: self.prob.simulate_realizations(3, False, True),
-                   self.prob.theta, "simulate_realizations", 3, False, True,
+        self.check(lambda: self.prob.simulate_realizations(3, False),
+                   self.prob.theta, "simulate_realizations", 3, False,
                    repeat_issues=["distla.rnorm", "distla.mult",
                                   "distla.collect"])
 
@@ -549,7 +557,10 @@ class KrigeMachine(RuleBasedStateMachine):
         self.prob = _small_problem(self.cluster)
 
 
-def test_state_machine_matches_fresh_problems():
+def test_state_machine_matches_fresh_problems(monkeypatch):
+    # zero draws leave every stream where it was, so a simulation matches a
+    # fresh problem's whatever was drawn before it
+    _zero_draws(monkeypatch)
     run_state_machine_as_test(KrigeMachine, settings=settings(
         max_examples=25, stateful_step_count=8, deadline=None,
         suppress_health_check=[HealthCheck.too_slow]))
@@ -740,10 +751,12 @@ class TestNonZeroMean:
         assert relerr(prob.predict(), want_mean) <= 1e-10
 
     def test_zero_noise_unconditional_returns_the_mean(self,
-                                                       cluster_factory):
+                                                       cluster_factory,
+                                                       monkeypatch):
+        _zero_draws(monkeypatch)
         prob, coords, _, _ = self._setup(cluster_factory(3))
         for _ in range(2):  # the repeat reuses the collected prior mean
-            sims = prob.simulate_realizations(3, post=False, zero_noise=True)
+            sims = prob.simulate_realizations(3, post=False)
             np.testing.assert_allclose(
                 sims, np.repeat(_trend(self.theta, coords)[:, None], 3, 1),
                 rtol=1e-14, atol=0)
@@ -824,17 +837,21 @@ class TestSimulate:
             @ rng.standard_normal(20)
         return _problem(cl, coords, y, theta, pred=pred, h=h)
 
-    def test_zero_noise_unconditional_returns_mean(self, cluster_factory):
+    def test_zero_noise_unconditional_returns_mean(self, cluster_factory,
+                                                   monkeypatch):
+        _zero_draws(monkeypatch)
         cl = cluster_factory(3)
         prob = self._prob(cl)
-        sims = prob.simulate_realizations(3, post=False, zero_noise=True)
+        sims = prob.simulate_realizations(3, post=False)
         np.testing.assert_allclose(sims, np.zeros((20, 3)), atol=1e-12)
 
-    def test_zero_noise_conditional_returns_predictions(self, cluster_factory):
+    def test_zero_noise_conditional_returns_predictions(self, cluster_factory,
+                                                        monkeypatch):
+        _zero_draws(monkeypatch)
         cl = cluster_factory(3)
         prob = self._prob(cl)
         mean = prob.predict()
-        sims = prob.simulate_realizations(2, post=True, zero_noise=True)
+        sims = prob.simulate_realizations(2, post=True)
         np.testing.assert_allclose(
             sims, np.broadcast_to(mean[:, None], sims.shape), atol=1e-10)
 

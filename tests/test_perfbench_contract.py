@@ -6,7 +6,9 @@
 whose kernel asked for it; a refactor that renames either, or looks a
 generator up on the master, would only show up as a failed traced run.
 The traced run also reads the factor's layout and each rank's peak block
-count from what `distla.distributed_cholesky` returns.
+count from what `distla.distributed_cholesky` returns, and bills each
+collective to the `DISTLA_LAYERS` span open around it, so no public
+`distla` function may call another.
 """
 
 import ast
@@ -45,6 +47,17 @@ def test_traced_names_exist():
     assert "shape" in inspect.signature(WorkerContext.recv).parameters
 
 
+def _small_problem(cl):
+    rng = np.random.default_rng(1)
+    spec = dataclasses.replace(
+        builtin_spec("matern-nugget", rng.uniform(0, 5, 9),
+                     rng.uniform(0, 5, 4)),
+        mean_fn=lambda theta, inputs: theta[0] * inputs["coords"],
+        pred_mean_fn=lambda theta, inputs: theta[0] * inputs["pred_coords"])
+    return KrigeProblem(cl, "t", spec, rng.standard_normal(9),
+                        [1.0, 1.0, 0.1], m=4, h_n=2, h_m=1, h_r=1)
+
+
 def test_generators_are_looked_up_on_workers_only(monkeypatch):
     master, lookups, lookup = threading.get_ident(), [], registry.lookup
 
@@ -52,16 +65,9 @@ def test_generators_are_looked_up_on_workers_only(monkeypatch):
         lookups.append((fn_id, threading.get_ident() == master))
         return lookup(fn_id)
     monkeypatch.setattr(registry, "lookup", recorded)
-    rng = np.random.default_rng(1)
-    spec = dataclasses.replace(
-        builtin_spec("matern-nugget", rng.uniform(0, 5, 9),
-                     rng.uniform(0, 5, 4)),
-        mean_fn=lambda theta, inputs: theta[0] * inputs["coords"],
-        pred_mean_fn=lambda theta, inputs: theta[0] * inputs["pred_coords"])
     cl = spawn(3, seed=1)
     try:
-        prob = KrigeProblem(cl, "t", spec, rng.standard_normal(9),
-                            [1.0, 1.0, 0.1], m=4, h_n=2, h_m=1, h_r=1)
+        prob = _small_problem(cl)
         prob.log_density()
         prob.predict(se_fit=True)
         prob.simulate_realizations(2, post=True)
@@ -91,3 +97,34 @@ def test_in_place_cholesky_returns_what_the_trace_reads():
     assert all(0 < st["peak_blocks"] <= 2 ** 2 + 4 for st in out[1])
     np.testing.assert_allclose(L, np.linalg.cholesky(A), rtol=1e-10,
                                atol=1e-12)
+
+
+def test_each_collective_is_billed_to_one_layer(monkeypatch):
+    # tracing.py bills a collective to every DISTLA_LAYERS span open around
+    # it, so one public distla function must never run inside another
+    depth, nested, run_depths = [0], [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                nested.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+    for name in _distla_layers():
+        monkeypatch.setattr(distla, name, counted(name, getattr(distla, name)))
+    cl = spawn(3, seed=1)
+    run = cl.run
+    cl.run = lambda fn_id, **kw: run_depths.append(depth[0]) or run(fn_id, **kw)
+    try:
+        prob = _small_problem(cl)
+        prob.log_density()
+        prob.predict(se_fit=True)
+        prob.simulate_realizations(2, post=True)
+    finally:
+        cl.shutdown()
+    assert nested == []
+    assert run_depths and set(run_depths) == {1}
