@@ -27,14 +27,12 @@ schedule a partial for a local result block is accumulated into it with
 solve finishes each result block with an in-place `trsm`.
 """
 
-from collections import Counter
-
 import numpy as np
 
 from .. import registry
 from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
-from ..grid import block_owner, rect_block_owner, vector_block_owner
+from ..grid import block_owner, rect_block_owner, residue, vector_block_owner
 from . import blas
 from .objects import LocalPiece, fill_block, owned_blocks
 
@@ -160,7 +158,7 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
             for I in my_rows:
                 blas.trsm(Ljj, blocks[(I, J)], right=True, trans=True)
                 ctx.log_event("solve", I, J)
-                for dest in sorted({block_owner(max(I, X), min(I, X), grid)
+                for dest in sorted({rect_block_owner(I, X, grid)
                                     for X in range(J + 1, B + 1)}):
                     if dest != me:
                         ctx.send(dest, (out_name, "col", I, J),
@@ -191,23 +189,18 @@ def _trailing_plan(J, B, grid, coord):
     `done` those whose last use it is.  Each remote block is received once
     and held from its first use to its last.
 
-    Updates are sorted by their leading remote input, then by (R, C); the
-    leading input is the largest of the update's remote inputs in the
-    residue class (X mod D) with more remote blocks.  A rank with inputs
-    from one class (D = 2, or a diagonal rank) so runs by largest input and
-    holds at most that class; an off-diagonal rank at D >= 3 with inputs
-    from two classes streams the larger class and holds the smaller one
-    plus one block.
+    Updates are sorted by their leading remote input, the one of highest
+    residue class and then highest index, then by (R, C).  A rank with
+    inputs from one class (D = 2, or a diagonal rank) so runs by largest
+    input and holds at most that class; an off-diagonal rank at D >= 3 with
+    inputs from two classes streams the higher class and holds the lower
+    one plus one block.
     """
     tasks = [(R, C, {X for X in (R, C) if block_owner(X, J, grid) != coord})
              for C in range(J + 1, B + 1) for R in range(C, B + 1)
              if block_owner(R, C, grid) == coord]
-    size = Counter(X % grid.D for X in {X for t in tasks for X in t[2]})
-
-    def leading(xs):
-        return min(xs, key=lambda X: (-size[X % grid.D], X % grid.D, -X),
-                   default=0)
-    tasks.sort(key=lambda t: (leading(t[2]), t[0], t[1]))
+    tasks.sort(key=lambda t: (max(((residue(X, grid.D), X) for X in t[2]),
+                                  default=(0, 0)), t[0], t[1]))
     first, last = {}, {}
     for k, (_, _, xs) in enumerate(tasks):
         for X in xs:

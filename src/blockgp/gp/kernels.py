@@ -48,18 +48,6 @@ def _points(inputs, key, idx):
     return (pts[:, None] if pts.ndim == 1 else pts)[idx - 1]
 
 
-@registry.register("gen.delta")
-def _delta(params, inputs, i, j):
-    """Kronecker delta; collected triangular equals the identity."""
-    return np.equal.outer(i, j).astype(float)
-
-
-@registry.register("gen.linear_index")
-def _linear_index(params, inputs, i, j):
-    """i + n*(j-1); handy construction oracle."""
-    return np.add.outer(i, inputs["n"] * (j - 1.0))
-
-
 # Correlations of two point sets X (rows) and Y (columns).
 
 def _sqexp_corr(params, inputs, X, Y):

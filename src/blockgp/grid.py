@@ -110,7 +110,8 @@ def default_h(n, D):
     return h
 
 
-def _residue(I, D):
+def residue(I, D):
+    """The grid row or column, 1..D, that block index I folds onto."""
     return (I - 1) % D + 1
 
 
@@ -123,14 +124,14 @@ def block_owner(I, J, grid):
 
 def rect_block_owner(I, J, grid):
     """Owner coordinate of rectangular block (I, J); folds above-diagonal residues."""
-    a = _residue(I, grid.D)
-    b = _residue(J, grid.D)
+    a = residue(I, grid.D)
+    b = residue(J, grid.D)
     return (a, b) if a >= b else (b, a)
 
 
 def vector_block_owner(J, grid):
     """Vector blocks live block-cyclically on the diagonal workers."""
-    c = _residue(J, grid.D)
+    c = residue(J, grid.D)
     return (c, c)
 
 

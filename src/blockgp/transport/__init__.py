@@ -4,9 +4,13 @@ import numpy as np
 
 from ..errors import BackendUnavailable, ConfigError
 from ..grid import grid_from_process_count
-from .base import Cluster, Message, WorkerContext
+from .base import Cluster, WorkerContext
 
 BACKENDS = ("in-process", "multi-process-socket")
+
+
+def _integer(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def spawn(P, backend="in-process", seed=0, blas_threads=None):
@@ -16,12 +20,17 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
     [0, 2**64), the master half of every rank's Philox key.  The in-process
     backend runs each worker on its own thread with deep-copied message
     payloads; the socket backend spawns subprocesses connected over loopback
-    TCP.
+    TCP, each with `blas_threads` BLAS threads when it is not None.
+    `blas_threads` must be None or an integer >= 1 on every backend; the
+    in-process backend does not use it.
     """
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or not 0 <= int(seed) < 2 ** 64):
+    if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
         raise ConfigError(f"seed must be an integer in [0, 2**64), "
                           f"got {seed!r}")
+    if not (blas_threads is None
+            or (_integer(blas_threads) and blas_threads >= 1)):
+        raise ConfigError(f"blas_threads must be None or an integer >= 1, "
+                          f"got {blas_threads!r}")
     seed = int(seed)
     grid = grid_from_process_count(P)
     if backend == "in-process":
@@ -34,4 +43,4 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
                              f"expected one of {BACKENDS}")
 
 
-__all__ = ["spawn", "Cluster", "Message", "WorkerContext", "BACKENDS"]
+__all__ = ["spawn", "Cluster", "WorkerContext", "BACKENDS"]

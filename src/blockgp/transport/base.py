@@ -1,10 +1,15 @@
-"""Backend-independent pieces of the worker runtime.
+"""The worker runtime, written once for every backend.
 
 A cluster is P workers plus the master.  The master issues one collective at
 a time; each collective runs a registered SPMD function on every worker.
 Workers talk to each other only through tagged messages.  Every message
 carries the collective's epoch so that leftovers from an aborted or finished
 collective can never leak into the next one.
+
+Each worker is one `WorkerCore`, whose `serve` runs the master's commands
+and whose `Mailbox` takes in every message; the master is one `Cluster`,
+whose `_dispatch` sends the commands and waits for the results.  A backend
+only carries commands, results and payloads between them.
 """
 
 import copy
@@ -54,8 +59,13 @@ class Mailbox:
         self._stash = {}
         self._epoch = 0
 
-    def put(self, msg):
-        self._incoming.put(msg)
+    def put(self, src, tag, payload, epoch):
+        """Take in one data message from src."""
+        self._incoming.put(Message(src, tag, payload, epoch))
+
+    def abort(self, src, epoch):
+        """Take in src's abort of the collective of `epoch`."""
+        self._incoming.put(Message(src, None, epoch=epoch, kind="abort"))
 
     def close(self):
         """Nothing can arrive any more: fail a waiting get and every later one."""
@@ -128,7 +138,8 @@ class WorkerContext:
 
 
 class WorkerCore:
-    """Command execution shared by all backends; transport supplies delivery."""
+    """One worker; the backend carries its sends (`send_fn`) and aborts
+    (`abort_fn`), and delivers to its `mailbox`."""
 
     def __init__(self, rank, grid, seed, send_fn):
         self.rank = rank
@@ -139,6 +150,12 @@ class WorkerCore:
             stream=RankStream(seed, rank),
             _send=send_fn, _mailbox=self.mailbox)
         self.abort_fn = None  # callable(), set by backend
+
+    def serve(self, next_command, reply):
+        """Run each command from next_command() and reply with its result,
+        until ("shutdown",)."""
+        while (cmd := next_command())[0] != "shutdown":
+            reply(self.handle(cmd))
 
     def handle(self, cmd):
         """Execute one master command; returns (status, value)."""
@@ -183,7 +200,8 @@ class WorkerCore:
 
 
 class Cluster:
-    """Master-side handle; concrete backends implement _dispatch."""
+    """Master-side handle; concrete backends implement _command and _stop,
+    and put each rank's results, in order, on its `_res_q`."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -191,15 +209,24 @@ class Cluster:
         self.epoch = 0
         self.stats = {"collectives": 0}
         self.failure = None  # a WorkerFailure after which no work is accepted
+        self._res_q = {r: queue.SimpleQueue() for r in self._all()}
 
     # -- backend hooks -------------------------------------------------
-    def _dispatch(self, cmds):
-        """Send each rank its command ({rank: cmd}), return the results in
-        the same order."""
+    def _command(self, rank, cmd):
+        """Send one command to one rank."""
         raise NotImplementedError
 
     def _stop(self):
         raise NotImplementedError
+
+    def _dispatch(self, cmds):
+        """Send each rank its command ({rank: cmd}), return the results in
+        the same order."""
+        for t, cmd in cmds.items():
+            self._command(t, cmd)
+        results = [self._res_q[t].get() for t in cmds]
+        self._check_up()  # a lost worker wakes the wait with None results
+        return results
 
     # -- public API ----------------------------------------------------
     @property

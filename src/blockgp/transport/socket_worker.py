@@ -1,6 +1,11 @@
 """Entry point for one socket-backend worker process.
 
 Usage: python -m blockgp.transport.socket_worker PORT RANK D SEED
+
+The process serves one `WorkerCore` over its connection to the master: a
+reader thread puts each data or abort frame into the core's mailbox and
+queues each command, and the main thread runs `WorkerCore.serve` on that
+queue, writing every result back as a frame.
 """
 
 import contextlib
@@ -11,7 +16,7 @@ import threading
 import traceback
 
 from ..grid import ProcessGrid
-from .base import Message, WorkerCore
+from .base import WorkerCore
 from .wire import (decode_body, encode_control, encode_data, nodelay,
                    read_frame)
 
@@ -44,16 +49,13 @@ def main(argv=None):
                 decoded = decode_body(body)
                 if decoded[0] == "data":
                     _, src, _dst, epoch, tag, payload = decoded
-                    core.mailbox.put(Message(src=src, tag=tag,
-                                             payload=payload, epoch=epoch))
+                    core.mailbox.put(src, tag, payload, epoch)
                 else:
                     obj = decoded[1]
                     if obj["kind"] == "command":
                         cmds.put(obj["cmd"])
                     elif obj["kind"] == "abort":
-                        core.mailbox.put(Message(src=obj["src"], tag=None,
-                                                 epoch=obj["epoch"],
-                                                 kind="abort"))
+                        core.mailbox.abort(obj["src"], obj["epoch"])
         except (ConnectionError, OSError):
             pass
         except Exception:
@@ -65,19 +67,16 @@ def main(argv=None):
         core.mailbox.close()  # ends a collective that waits for a message
         cmds.put(("shutdown",))
 
-    threading.Thread(target=reader, daemon=True).start()
-
-    while True:
-        cmd = cmds.get()
-        if cmd[0] == "shutdown":
-            sock.close()
-            return 0
-        result = core.handle(cmd)
-        try:
+    def reply(result):
+        # on a dropped connection the reader queues the shutdown
+        with contextlib.suppress(OSError):
             write(encode_control({"kind": "result", "rank": rank,
                                   "value": result}))
-        except OSError:  # connection dropped; the reader queues a shutdown
-            pass
+
+    threading.Thread(target=reader, daemon=True).start()
+    core.serve(cmds.get, reply)
+    sock.close()
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ cluster refuses all further work with it.  A worker that receives a frame it
 cannot decode drops its connection, so it is lost the same way.
 """
 
-import queue
 import socket
 import subprocess
 import sys
@@ -34,7 +33,6 @@ class SocketCluster(Cluster):
         super().__init__(grid)
         self._socks = {}
         self._locks = {}
-        self._res_q = {r: queue.SimpleQueue() for r in self._all()}
         self._procs = []
         self._fail_lock = threading.Lock()
         try:
@@ -141,17 +139,12 @@ class SocketCluster(Cluster):
         except Exception as exc:  # a broken connection or an undecodable frame
             self._lost(rank, exc)
 
-    def _dispatch(self, cmds):
-        for t, cmd in cmds.items():
-            self._write(t, encode_control({"kind": "command", "cmd": cmd}))
-        results = [self._res_q[t].get() for t in cmds]
-        self._check_up()  # a lost worker wakes the wait with None results
-        return results
+    def _command(self, rank, cmd):
+        self._write(rank, encode_control({"kind": "command", "cmd": cmd}))
 
     def _stop(self):
         for rank in list(self._socks):
-            self._write(rank, encode_control(
-                {"kind": "command", "cmd": ("shutdown",)}))
+            self._command(rank, ("shutdown",))
         for proc in self._procs:
             try:
                 proc.wait(timeout=10)

@@ -285,6 +285,30 @@ class TestExitCodes:
         assert "data.csv:27: ragged row: 1 cells, header has 2" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, named", [
+        (None, "cannot read data file"),
+        ("x,y\n", "need a header row and at least one row"),
+        ("x,y\n1.0,0.5\n2.0,abc\n", ":3: non-numeric cell"),
+        ("x,z\n1.0,0.5\n", "last column must be 'y', got 'z'"),
+    ], ids=["unreadable", "header-only", "non-numeric-cell", "no-y-column"])
+    def test_bad_data_file_exits_2_naming_it(self, workdir, capsys, content,
+                                             named):
+        path = workdir / "bad.csv"
+        if content is not None:
+            path.write_text(content)
+        assert cli.main(["loglik", str(workdir / "job.cfg"),
+                         f"data={path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(path) in err and named in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_blas_threads_below_one_exits_2(self, workdir, capsys, value):
+        assert cli.main(["loglik", str(workdir / "job.cfg"),
+                         f"blas_threads={value}"]) == 2
+        assert "blas_threads must be None or an integer >= 1" in \
+            capsys.readouterr().err
+
     def test_unknown_key_in_file_names_its_line(self, workdir, capsys):
         with open(workdir / "job.cfg", "a") as f:
             f.write("maxevals = 10\n")

@@ -11,7 +11,8 @@ from blockgp.errors import (DimensionMismatch, GeneratorError,
 from blockgp.gp import BUILTIN_KERNELS, matern_correlation, sqexp_correlation
 from blockgp.distla.kernels import _trailing_plan
 from blockgp.grid import (BlockLayout, ProcessGrid, block_owner,
-                          rect_block_owner, triangular_blocks)
+                          rect_block_owner, triangular_blocks,
+                          triangular_order)
 from blockgp.transport import wire
 from blockgp.transport.inprocess import InProcessCluster
 
@@ -23,6 +24,18 @@ LAYOUTS = [(1, 1), (1, 2), (3, 1), (3, 2), (6, 2), (10, 1)]
 
 def _layout(cl, n, h):
     return distla.make_layout(n, cl.grid, h=h)
+
+
+@registry.register("test.delta")
+def _delta(params, inputs, i, j):
+    """Kronecker delta; collected triangular equals the identity."""
+    return np.equal.outer(i, j).astype(float)
+
+
+@registry.register("test.linear_index")
+def _linear_index(params, inputs, i, j):
+    """i + n*(j-1); handy construction oracle."""
+    return np.add.outer(i, inputs["n"] * (j - 1.0))
 
 
 @registry.register("test.full_block")
@@ -37,6 +50,14 @@ def _wrong_shape_last_row(params, inputs, i, j):
     row."""
     extra = int(i[-1] == inputs["n"] and j[0] == 1)
     return np.zeros((len(i), len(j) + extra))
+
+
+@registry.register("test.raises_on_last_row")
+def _raises_on_last_row(params, inputs, i, j):
+    """Raises, but only for the first column of the last block row."""
+    if i[-1] == inputs["n"] and j[0] == 1:
+        raise ValueError("no block here")
+    return np.zeros((len(i), len(j)))
 
 
 @registry.register("test.scalar_block")
@@ -58,7 +79,7 @@ def _assert_drained(cl):
     """Every message a collective sent was received: no worker's mailbox
     has anything left in its stash or its incoming queue."""
     for rank, w in cl._workers.items():
-        mailbox = w.core.mailbox
+        mailbox = w.mailbox
         assert not any(mailbox._stash.values()), f"rank {rank} stash"
         assert mailbox._incoming.empty(), f"rank {rank} incoming queue"
 
@@ -114,7 +135,7 @@ class TestConstruct:
     def test_delta_generator_gives_identity(self, cluster_factory, P, h):
         cl = cluster_factory(P)
         layout = _layout(cl, 9, h)
-        t = distla.construct_distributed(cl, "I", "triangular", "gen.delta",
+        t = distla.construct_distributed(cl, "I", "triangular", "test.delta",
                                          [], row_layout=layout)
         np.testing.assert_array_equal(distla.collect(cl, t), np.eye(9))
 
@@ -123,7 +144,7 @@ class TestConstruct:
         layout = _layout(cl, 4, 1)
         cl.push("inp", {"n": 4})
         t = distla.construct_distributed(cl, "A", "triangular",
-                                         "gen.linear_index", [],
+                                         "test.linear_index", [],
                                          inputs_name="inp", row_layout=layout)
         want = np.tril(np.add.outer(np.arange(1, 5), 4 * np.arange(0, 4)))
         np.testing.assert_array_equal(distla.collect(cl, t), want)
@@ -185,6 +206,22 @@ class TestConstruct:
         assert info.value.rank == owner
         assert f"rank {owner}" in str(info.value)
         assert "shape" in str(info.value.cause)
+
+    def test_raising_generator_names_the_rank(self, cluster_factory):
+        cl = cluster_factory(3)
+        layout = _layout(cl, 10, 2)
+        cl.push("inp", {"n": 10})
+        with pytest.raises(GeneratorError) as info:
+            distla.construct_distributed(cl, "A", "triangular",
+                                         "test.raises_on_last_row", [],
+                                         inputs_name="inp", row_layout=layout)
+        owner = cl.grid.coord_to_rank(*rect_block_owner(layout.B, 1, cl.grid))
+        assert info.value.rank == owner
+        assert f"rank {owner}" in str(info.value)
+        assert isinstance(info.value.cause, ValueError)
+        assert str(info.value.cause) == "no block here"
+        for rank in range(1, cl.P + 1):
+            assert cl.remote_ls(rank) == ["inp"]
 
     def test_wrong_vector_shape_raises(self, cluster_factory):
         cl = cluster_factory(3)
@@ -380,6 +417,14 @@ class TestCholesky:
             assert s["peak_blocks"] == plan_peaks[cl.grid.rank_to_coord(rank)]
         assert max(s["peak_blocks"] for s in stats) == h * h + h + 1
 
+    @pytest.mark.parametrize("P,h,peak", [(3, 8, 65), (6, 3, 13), (6, 6, 43),
+                                          (10, 3, 13), (10, 4, 21)])
+    def test_largest_plan_peak_is_pinned(self, P, h, peak):
+        # the kernel is checked against the plan above; this pins the plan
+        # itself, so a reordering that holds more blocks fails here
+        _, plan_peaks = _plan_replay(h, triangular_order(P))
+        assert max(plan_peaks.values()) == peak
+
     def test_critical_path_event_order(self, cluster_factory):
         cl = cluster_factory(6)
         A = spd_matrix(24, seed=2)
@@ -545,7 +590,7 @@ class TestTriangularSolves:
         Bd = distla.distribute(cl, "B", B, kind, rows, cols)
         want = distla.collect(cl, distla.triangular_solve(cl, L, Bd, "X",
                                                           side=side))
-        stores = [w.core.ctx.store for w in cl._workers.values()]
+        stores = [w.ctx.store for w in cl._workers.values()]
         held = [store["B"].blocks for store in stores]
         got = distla.triangular_solve(cl, L, Bd, "B", side=side)
         assert got.name == "B"
@@ -706,6 +751,34 @@ class TestCrossproducts:
         distla.distribute(cl, "S", np.eye(6), "triangular", rows)
         with pytest.raises(DimensionMismatch):
             distla.crossprod_self(cl, V, "S", subtract=True)
+
+    def test_mat_vec_needs_u_on_the_rows_of_v(self, cluster_factory):
+        cl = cluster_factory(3)
+        rows, cols = _layout(cl, 6, 1), _layout(cl, 4, 1)
+        V = distla.distribute(cl, "V", np.ones((6, 4)), "rectangular",
+                              rows, cols)
+        u = distla.distribute(cl, "u", np.ones(4), "vector", cols)
+        issued = cl.stats["collectives"]
+        with pytest.raises(DimensionMismatch, match="u layout"):
+            distla.crossprod_mat_vec(cl, V, u, "w")
+        assert cl.stats["collectives"] == issued
+
+
+@pytest.mark.parametrize("call", [
+    lambda cl, V, b: distla.distributed_cholesky(cl, V, "L"),
+    lambda cl, V, b: distla.triangular_solve(cl, V, b, "x"),
+    lambda cl, V, b: distla.mult_chol(cl, V, b, "x"),
+    lambda cl, V, b: distla.collect_diagonal(cl, V),
+], ids=["cholesky", "solve", "mult", "collect_diagonal"])
+def test_a_non_triangular_l_is_rejected_on_the_master(cluster_factory, call):
+    cl = cluster_factory(3)
+    layout = _layout(cl, 6, 1)
+    V = distla.distribute(cl, "V", np.eye(6), "rectangular", layout, layout)
+    b = distla.distribute(cl, "b", np.ones(6), "vector", layout)
+    issued = cl.stats["collectives"]
+    with pytest.raises(DimensionMismatch, match="triangular"):
+        call(cl, V, b)
+    assert cl.stats["collectives"] == issued
 
 
 class TestScalars:

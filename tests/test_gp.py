@@ -12,7 +12,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
 from blockgp import distla, registry, spawn
 from blockgp.distla import LocalPiece
 from blockgp.errors import (BlockGPError, DimensionMismatch,
-                            NotPositiveDefinite, UnsupportedSmoothness)
+                            NonFiniteObjective, NotPositiveDefinite,
+                            UnsupportedSmoothness)
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
                         matern_correlation, sqexp_correlation)
 from blockgp.rng import RankStream
@@ -54,6 +55,13 @@ def _negated_above_five(params, inputs, i, j):
     theta[0] > 5."""
     k = registry.lookup("gen.matern-nugget.cov")(params, inputs, i, j)
     return -k if params[0] > 5 else k
+
+
+@registry.register("test.zero.pred")
+def _zero_pred(params, inputs, i, j):
+    """A prior prediction covariance of zero, so the posterior covariance
+    -V^T V is not positive definite."""
+    return np.zeros((len(i), len(j)))
 
 
 _PRED_CALLS = []
@@ -310,7 +318,7 @@ def _live_bytes(cluster):
     """Bytes of every array in the in-process workers' stores."""
     total = 0
     for worker in cluster._workers.values():
-        for obj in worker.core.ctx.store.values():
+        for obj in worker.ctx.store.values():
             arrays = (obj.blocks.values() if isinstance(obj, LocalPiece)
                       else obj.values())
             total += sum(a.nbytes for a in arrays
@@ -598,6 +606,12 @@ class TestOptimize:
         assert res.n_evals <= 5  # budget plus the probing evaluation
         assert res.log_density == max(ll for _, ll in res.trace)
 
+    def test_non_positive_definite_start_is_non_finite(self,
+                                                       cluster_factory):
+        prob = _small_problem(cluster_factory(3))
+        with pytest.raises(NonFiniteObjective, match="starting theta"):
+            prob.optimize_log_dens(THETAS["bad"])
+
 
 class TestPredict:
     def _kriging_oracle(self, coords, pred, y, theta, nu=0.5):
@@ -862,6 +876,21 @@ class TestSimulate:
             sims = self._prob(cl).simulate_realizations(4, post=True)
             out.append(sims.tobytes())
         assert out[0] == out[1]
+
+    def test_non_positive_definite_posterior_keeps_the_block(
+            self, cluster_factory):
+        cl = cluster_factory(3)
+        prob = self._prob(cl)
+        prob.spec.pred_cov_fn = "test.zero.pred"
+        with pytest.raises(NotPositiveDefinite) as info:
+            prob.simulate_realizations(2, post=True)
+        exc = info.value
+        assert exc.detail == "posterior covariance not numerically PD"
+        assert "posterior covariance not numerically PD" in str(exc)
+        assert isinstance(exc.__cause__, NotPositiveDefinite)
+        assert exc.block_index == exc.__cause__.block_index == 1
+        for rank in range(1, cl.P + 1):
+            assert cl.remote_ls(rank) == ["t.inputs"]
 
     def test_shapes(self, cluster_factory):
         cl = cluster_factory(3)

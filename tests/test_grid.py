@@ -1,11 +1,14 @@
 """Layout arithmetic: grid bijections, block ownership, padding."""
 
+import ast
+import pathlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockgp
 from blockgp.errors import NotTriangularNumber, OutOfTriangle
 from blockgp.grid import (BlockLayout, ProcessGrid, block_owner, default_h,
                           grid_from_process_count, rect_block_owner,
@@ -159,3 +162,28 @@ class TestPadding:
         assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
         short = [J for J, k in enumerate(sizes) if k < layout.block_size]
         assert short == list(range(len(sizes) - len(short), len(sizes)))
+
+
+def _is_grid_order(node):
+    return ((isinstance(node, ast.Name) and node.id == "D")
+            or (isinstance(node, ast.Attribute) and node.attr == "D"))
+
+
+def test_ownership_arithmetic_only_in_grid():
+    """No module but grid.py takes a residue by the grid order (`D` or
+    `grid.D`): block ownership has one source."""
+    root = pathlib.Path(blockgp.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.BinOp):
+                divisor = node.right
+            elif isinstance(node, ast.AugAssign):
+                divisor = node.value
+            else:
+                continue
+            if isinstance(node.op, ast.Mod) and _is_grid_order(divisor):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []

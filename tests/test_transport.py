@@ -48,6 +48,27 @@ class TestSpawn:
             spawn(3, seed=seed)
         assert set(threading.enumerate()) <= threads  # no worker started
 
+    @pytest.mark.parametrize("backend", ["in-process",
+                                         "multi-process-socket"])
+    @pytest.mark.parametrize("blas_threads", [0, -1, 1.5, "2", True,
+                                              np.float64(2.0)])
+    def test_invalid_blas_threads_rejected_before_workers_start(
+            self, monkeypatch, backend, blas_threads):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        threads = set(threading.enumerate())
+        with pytest.raises(ConfigError, match="blas_threads"):
+            spawn(3, backend, blas_threads=blas_threads)
+        assert set(threading.enumerate()) <= threads  # no worker started
+
+    @pytest.mark.parametrize("blas_threads", [None, 1, np.int64(2)])
+    def test_in_process_accepts_valid_blas_threads(
+            self, cluster_factory, blas_threads):
+        cl = cluster_factory(3, blas_threads=blas_threads)
+        assert cl.run("test.rank_and_coord") == [
+            (rank, cl.grid.rank_to_coord(rank)) for rank in range(1, 4)]
+
     @pytest.mark.parametrize("seed", [0, np.int32(7), np.uint64(2 ** 64 - 1),
                                       2 ** 64 - 1])
     def test_integer_seeds_key_the_streams(self, cluster_factory, seed):
@@ -114,7 +135,7 @@ class TestObjectStore:
         cl._dispatch = lambda cmds: sent.append(sorted(cmds)) or dispatch(cmds)
         cl.push("x", np.arange(4.0))
         assert sent == [[1, 2, 3, 4, 5, 6]]
-        stored = [w.core.ctx.store["x"] for w in cl._workers.values()]
+        stored = [w.ctx.store["x"] for w in cl._workers.values()]
         assert len({id(x) for x in stored}) == 6
 
 
