@@ -5,14 +5,15 @@ fails on any rank, so a half-built result is never mistaken for a whole one.
 """
 
 from contextlib import suppress
+from dataclasses import replace
 
 import numpy as np
 
 from ..errors import BlockGPError, DimensionMismatch, SingularDiagonal
 from ..grid import BlockLayout, default_h
 from . import kernels  # noqa: F401  (registers the worker kernels)
-from .objects import (DistRectangular, DistTriangular, DistVector, LocalPiece,
-                      assemble, split_array)
+from .objects import (UNIT, DistRectangular, DistTriangular, DistVector,
+                      LocalPiece, assemble, split_array)
 
 
 def make_layout(n, grid, h=None):
@@ -27,8 +28,11 @@ def _handle(kind, name, row_layout, col_layout=None):
     if kind == "triangular":
         return DistTriangular(name, row_layout)
     if kind == "rectangular":
-        return DistRectangular(name, row_layout, col_layout)
-    return DistVector(name, row_layout)
+        return DistRectangular(name, row_layout, col_layout or row_layout)
+    if kind == "vector":
+        return DistVector(name, row_layout)
+    raise DimensionMismatch(f"kind {kind!r} is not 'triangular', "
+                            f"'rectangular' or 'vector'")
 
 
 def _check_square(L):
@@ -54,38 +58,42 @@ def construct_distributed(cluster, name, kind, generator, params,
     A vector is the diagonal of a square generator, evaluated on its
     diagonal blocks only.
     """
+    handle = _handle(kind, name, row_layout, col_layout)
     _run_into(cluster, name, "distla.construct", name=name, kind=kind,
               generator=generator, params=np.asarray(params, dtype=float),
               inputs_name=inputs_name, row_layout=row_layout,
               col_layout=col_layout)
-    return _handle(kind, name, row_layout, col_layout)
+    return handle
 
 
 def construct_rnorm_distributed(cluster, name, kind, row_layout,
                                 col_layout=None):
     """Distributed i.i.d. N(0,1) object drawn from per-rank streams."""
+    handle = _handle(kind, name, row_layout, col_layout)
     _run_into(cluster, name, "distla.rnorm", name=name, kind=kind,
               row_layout=row_layout, col_layout=col_layout)
-    return _handle(kind, name, row_layout, col_layout)
+    return handle
 
 
 def distribute(cluster, name, array, kind, row_layout, col_layout=None):
-    """Split a master-side dense object across the workers.
+    """Split a master-side dense array (1-D for a vector) across the workers.
 
     The master cuts each rank's owned blocks out of the array, padded by
     `fill_block`, and sends them to all ranks in one dispatch.
     """
     array = np.asarray(array, dtype=float)
-    cl = None if kind == "vector" else (col_layout or row_layout)
-    shape = (row_layout.n,) if cl is None else (row_layout.n, cl.n)
+    cl = UNIT if kind == "vector" else (col_layout or row_layout)
+    handle = _handle(kind, name, row_layout, cl)
+    shape = (row_layout.n,) if kind == "vector" else (row_layout.n, cl.n)
     if array.shape != shape:
         raise DimensionMismatch(f"{kind} shape {array.shape} != {shape}")
-    blocks = split_array(kind, array, cluster.grid, row_layout, cl)
+    blocks = split_array(kind, array.reshape(row_layout.n, cl.n),
+                         cluster.grid, row_layout, cl)
     cluster.scatter(name, {rank: LocalPiece(kind, row_layout, cl,
                                             blocks[coord])
                            for rank, coord in enumerate(cluster.grid.coords(),
                                                         1)})
-    return _handle(kind, name, row_layout, cl)
+    return handle
 
 
 def distributed_cholesky(cluster, tri, out_name):
@@ -106,9 +114,7 @@ def _applied(L, rhs, out_name):
     rows = rhs.layout if isinstance(rhs, DistVector) else rhs.row_layout
     if rows != L.layout:
         raise DimensionMismatch("right-hand side rows do not conform to L")
-    if isinstance(rhs, DistVector):
-        return DistVector(out_name, rhs.layout)
-    return DistRectangular(out_name, rhs.row_layout, rhs.col_layout)
+    return replace(rhs, name=out_name)
 
 
 def triangular_solve(cluster, L, rhs, out_name, side="forward"):
@@ -119,10 +125,11 @@ def triangular_solve(cluster, L, rhs, out_name, side="forward"):
     solved, so no second copy of the operand is kept.  Messages and results
     are those of a solve into a new name.
     """
-    forward = {"forward": True, "back": False}[side]
+    if side not in ("forward", "back"):
+        raise DimensionMismatch(f"side {side!r} is not 'forward' or 'back'")
     out = _applied(L, rhs, out_name)
     _run_into(cluster, out_name, "distla.solve", l_name=L.name,
-              rhs_name=rhs.name, out_name=out_name, forward=forward)
+              rhs_name=rhs.name, out_name=out_name, forward=side == "forward")
     return out
 
 
@@ -169,16 +176,16 @@ def _collect(cluster, handle, release=False, diagonal_only=False):
     calls is one collective of its own."""
     if diagonal_only:
         _check_square(handle)
-        kind, rl, cl = "vector", handle.layout, None
-    elif isinstance(handle, DistTriangular):
-        kind, rl, cl = "triangular", handle.layout, handle.layout
-    elif isinstance(handle, DistRectangular):
-        kind, rl, cl = "rectangular", handle.row_layout, handle.col_layout
+    vector = diagonal_only or isinstance(handle, DistVector)
+    if isinstance(handle, DistRectangular):
+        rl, cl = handle.row_layout, handle.col_layout
     else:
-        kind, rl, cl = "vector", handle.layout, None
+        rl = handle.layout
+        cl = UNIT if vector else rl
     pieces = cluster.run("distla.collect", name=handle.name, release=release,
                          diagonal_only=diagonal_only)
-    return assemble(kind, pieces, rl, cl)
+    A = assemble(pieces, rl, cl)
+    return A[:, 0] if vector else A
 
 
 def collect(cluster, handle, release=False):

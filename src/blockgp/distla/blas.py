@@ -14,7 +14,7 @@ A wrong pointer or leading dimension corrupts memory silently, so every
 routine checks its arguments before calling in: the array it writes must be
 a C-contiguous, aligned, writable float64 array of the right shape, or it
 raises ValueError; an operand that is not C-contiguous and aligned float64
-is copied first.  A 1-D array stands for a column.
+is copied first.  Every array is a 2-D matrix: a column is an n x 1 one.
 """
 
 import ctypes
@@ -61,28 +61,24 @@ def _dbl(value):
     return ctypes.byref(ctypes.c_double(value))
 
 
-def _matrix(a):
-    return a.reshape(-1, 1) if a.ndim == 1 else a
-
-
 def _operand(a, what):
     """a as a C-contiguous, aligned float64 matrix, copied only if needed."""
     if not (isinstance(a, np.ndarray) and a.dtype == _F8
             and a.flags.c_contiguous and a.flags.aligned):
         a = np.array(a, dtype=_F8, order="C")  # a fresh array is aligned
-    if a.ndim not in (1, 2):
-        raise ValueError(f"{what} must be 1-D or 2-D, got {a.ndim}-D")
-    return _matrix(a)
+    if a.ndim != 2:
+        raise ValueError(f"{what} must be 2-D, got {a.ndim}-D")
+    return a
 
 
 def _output(a, what):
-    """a as a matrix, checked to be writable in place."""
-    if not (isinstance(a, np.ndarray) and a.dtype == _F8 and a.ndim in (1, 2)
+    """a, checked to be a matrix writable in place."""
+    if not (isinstance(a, np.ndarray) and a.dtype == _F8 and a.ndim == 2
             and a.flags.c_contiguous and a.flags.aligned
             and a.flags.writeable):
-        raise ValueError(f"{what} must be a 1-D or 2-D C-contiguous, "
-                         f"aligned, writable float64 array")
-    return _matrix(a)
+        raise ValueError(f"{what} must be a 2-D C-contiguous, aligned, "
+                         f"writable float64 array")
+    return a
 
 
 def _check_shape(a, shape, what):

@@ -8,11 +8,12 @@ rank whose trailing blocks use it, and that rank holds it from its first use
 to its last, in the order one pure plan (`_trailing_plan`) gives.
 
 Block ownership comes only from `grid.py`, and `_operand` is the one rule
-for addressing a vector or rectangular operand; vectors live on the diagonal
-workers.  Solves, multiplies and crossproducts share one schedule with one
-travel rule: each partial product runs where the matrix block (L or V)
-lives, the operand block travels there ("x" for a vector, "col" otherwise),
-and the partial travels to the result block's owner ("ps").
+for addressing an operand: every block is 2-D and keyed (I, c), and a
+vector's (I, 1) blocks live on the diagonal workers.  Solves, multiplies
+and crossproducts share one schedule with one travel rule: each partial
+product runs where the matrix block (L or V) lives, the operand block
+travels there ("x" for a vector, "col" otherwise), and the partial travels
+to the result block's owner ("ps").
 
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
@@ -34,7 +35,7 @@ from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
 from ..grid import block_owner, rect_block_owner, residue, vector_block_owner
 from . import blas
-from .objects import LocalPiece, fill_block, owned_blocks
+from .objects import UNIT, LocalPiece, fill_block, owned_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +53,10 @@ def _generate(ctx, gen, shape, *args):
 
 
 def _store_owned(ctx, name, kind, row_layout, col_layout, values):
-    """Store fill_block(values(key)) for every block this rank owns."""
-    cl = None if kind == "vector" else (col_layout or row_layout)
-    blocks = {key: fill_block(kind, key, values(key), row_layout, cl)
+    """Store fill_block(values(key, block shape)) for each owned block."""
+    cl = UNIT if kind == "vector" else (col_layout or row_layout)
+    shape = (row_layout.block_size, cl.block_size)
+    blocks = {key: fill_block(kind, key, values(key, shape), row_layout, cl)
               for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout,
                                       cl)}
     ctx.store[name] = LocalPiece(kind, row_layout, cl, blocks)
@@ -78,12 +80,12 @@ def construct(ctx, name, kind, generator, params, inputs_name,
         k = layout.live(J)
         return np.arange(k.start + 1, k.stop + 1)
 
-    def values(key):
-        I, J = (key, key) if kind == "vector" else key
+    def values(key, shape):
+        I, J = (key[0], key[0]) if kind == "vector" else key
         i, j = indices(I, row_layout), indices(J, cl)
         ctx.log_event("construct", I, J)
         block = _generate(ctx, gen, (len(i), len(j)), params, inputs, i, j)
-        return np.diag(block) if kind == "vector" else block
+        return np.diag(block)[:, None] if kind == "vector" else block
     _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
@@ -94,13 +96,8 @@ def construct_rnorm(ctx, name, kind, row_layout, col_layout=None):
     Padded positions are drawn too (keeping the stream position a pure
     function of the block size) and then dropped by fill_block.
     """
-    bs = row_layout.block_size
-    shape = ((bs,) if kind == "vector"
-             else (bs, (col_layout or row_layout).block_size))
-    draw = int(np.prod(shape))
-
-    def values(key):
-        return ctx.normals(draw).reshape(shape, order="F")
+    def values(key, shape):
+        return ctx.normals(shape[0] * shape[1]).reshape(shape, order="F")
     _store_owned(ctx, name, kind, row_layout, col_layout, values)
 
 
@@ -244,19 +241,16 @@ def xprod(ctx, v_name, u_name, out_name, subtract=False):
 
 
 def _operand(piece, grid):
-    """How kernels address a vector or rectangular piece: (column-block
-    count, owner(I, c), store key(I, c), block shape, travel phase).
+    """How kernels address the blocks (I, c) of a piece: (owner(I, c),
+    block shape, travel phase).
 
-    A vector is one column of blocks on the diagonal workers and travels in
-    the "x" phase; any other piece's blocks travel in the "col" phase.
+    A vector's (I, 1) blocks live on the diagonal workers and travel in the
+    "x" phase; any other piece's blocks travel in the "col" phase.
     """
-    bs = piece.row_layout.block_size
+    shape = (piece.row_layout.block_size, piece.col_layout.block_size)
     if piece.kind == "vector":
-        return (1, lambda I, c: vector_block_owner(I, grid), lambda I, c: I,
-                (bs,), "x")
-    cl = piece.col_layout
-    return (cl.B, lambda I, c: rect_block_owner(I, c, grid),
-            lambda I, c: (I, c), (bs, cl.block_size), "col")
+        return lambda I, c: vector_block_owner(I, grid), shape, "x"
+    return lambda I, c: rect_block_owner(I, c, grid), shape, "col"
 
 
 def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
@@ -291,7 +285,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                                         " and a triangular start on V's columns")
         else:
             res = (LocalPiece("triangular", clay, clay, {}) if square
-                   else LocalPiece("vector", clay, None, {}))
+                   else LocalPiece("vector", clay, UNIT, {}))
         cells = [(A, c) for A in range(1, clay.B + 1)
                  for c in range(1, (A if square else 1) + 1)]
     else:
@@ -299,10 +293,10 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                          X.blocks if in_place else {})
         cells = [(J, c) for J in (range(B, 0, -1) if op == "back"
                                   else range(1, B + 1))
-                 for c in range(1, _operand(X, grid)[0] + 1)]
-    _, res_owner, res_key, shape, _ = _operand(res, grid)
+                 for c in range(1, X.col_layout.B + 1)]
+    res_owner, shape, _ = _operand(res, grid)
     if X is not None:
-        _, x_owner, x_key, x_shape, phase = _operand(X, grid)
+        x_owner, x_shape, phase = _operand(X, grid)
         xs = res.blocks if solving else X.blocks  # what the partials multiply
     transposed = op in ("back", "xprod")
     sign = -1.0 if solving or subtract else 1.0
@@ -317,7 +311,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     else:
         start = lambda key: np.zeros(shape)
     if X is None:
-        product = lambda Mb, xk: np.einsum("ij,ij->j", Mb, Mb)
+        product = lambda Mb, xk: np.einsum("ij,ij->j", Mb, Mb)[:, None]
         accumulate = lambda acc, Mb, xk: combine(acc, product(Mb, xk),
                                                  out=acc)
     else:
@@ -343,16 +337,16 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         if solving and block_owner(J, J, grid) == me and towner != me:
             ctx.send(towner, (out_name, "diag", J, J), M.blocks[(J, J)])
         if towner == me:
-            acc = start(res_key(J, c))
+            acc = start((J, c))
         for K in Ks(J):
             mkey = (K, J) if transposed else (J, K)
             where = rect_block_owner(*mkey, grid)
             if X is not None:
                 xowner, tag = x_owner(K, c), (out_name, phase, K, c)
                 if xowner == me and where != me:
-                    ctx.send(where, tag, xs[x_key(K, c)])
+                    ctx.send(where, tag, xs[(K, c)])
             if where == me:
-                xk = (None if X is None else xs[x_key(K, c)] if xowner == me
+                xk = (None if X is None else xs[(K, c)] if xowner == me
                       else ctx.recv(xowner, tag, x_shape))
                 if towner == me:
                     accumulate(acc, M.blocks[mkey], xk)
@@ -361,7 +355,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
             elif towner == me:
                 combine(acc, ctx.recv(where, ps, shape), out=acc)
         if towner == me:
-            res.blocks[res_key(J, c)] = finish(J, c, acc)
+            res.blocks[(J, c)] = finish(J, c, acc)
     ctx.store[out_name] = res
 
 
@@ -372,13 +366,13 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
 @registry.register("distla.collect")
 def collect_blocks(ctx, name, diagonal_only=False, release=False):
     """Ship owned blocks back to the master, or, with `diagonal_only`, the
-    diagonals of the diagonal blocks as vector blocks.  With `release` the
-    object leaves the store, so its blocks are shipped without a copy."""
+    diagonals of the diagonal blocks as (I, 1) vector blocks.  With `release`
+    the object leaves the store, so its blocks are shipped without a copy."""
     piece = ctx.fetch(name)
     if release:
         del ctx.store[name]
     if not diagonal_only:
         return {k: v if release else np.array(v)
                 for k, v in piece.blocks.items()}
-    return {I: np.diag(block).copy()
+    return {(I, 1): np.diag(block)[:, None].copy()
             for (I, J), block in piece.blocks.items() if I == J}

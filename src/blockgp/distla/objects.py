@@ -1,24 +1,27 @@
 """Block-distributed object model.
 
 A distributed object is a name plus layout metadata on the master, and a
-LocalPiece (the owned blocks) in each worker's store.  Blocks are dense
-float64 arrays of the layouts' full block size; `BlockLayout.live` says which
-of their entries are real.  Every block that enters the system (a slice of
-a distributed array, a generator's values, a random draw) is made by
-`fill_block`, the one padding rule: padded entries are zero, except that a
-triangular diagonal block keeps its strict upper triangle at zero and has
-ones on its padded diagonal.  The kernels preserve that pattern, so padding
-never contaminates factorizations, solves or products, and `assemble` only
-has to drop it.
+LocalPiece (the owned blocks) in each worker's store.  Every block is a
+dense 2-D float64 array of the layouts' full block size under an (I, J)
+key: a vector is an n x 1 matrix whose column layout is `UNIT`, so its
+blocks are (I, 1) columns, owned by the diagonal workers.
+`BlockLayout.live` says which entries of a block are real.  Every block
+that enters the system (a slice of a distributed array, a generator's
+values, a random draw) is made by `fill_block`, the one padding rule: padded
+entries are zero, except that a triangular diagonal block keeps its strict
+upper triangle at zero and has ones on its padded diagonal.  The kernels
+preserve that pattern, so padding never contaminates factorizations, solves
+or products, and `assemble` only has to drop it.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..grid import (BlockLayout, rect_blocks, triangular_blocks,
                     vector_blocks)
+
+UNIT = BlockLayout(1, 1, 1)  # a vector's column layout: one block of one
 
 
 @dataclass
@@ -27,8 +30,8 @@ class LocalPiece:
 
     kind: str  # "triangular" | "rectangular" | "vector"
     row_layout: BlockLayout
-    col_layout: Optional[BlockLayout]
-    blocks: dict  # (I, J) -> 2-D array, or J -> 1-D array for vectors
+    col_layout: BlockLayout  # UNIT for a vector
+    blocks: dict  # (I, J) -> 2-D array of the layouts' block size
 
 
 @dataclass(frozen=True)
@@ -52,26 +55,21 @@ class DistVector:
     layout: BlockLayout
 
 
-def owned_blocks(kind, coord, grid, row_layout, col_layout=None):
+def owned_blocks(kind, coord, grid, row_layout, col_layout):
     if kind == "triangular":
         return triangular_blocks(coord, row_layout, grid)
     if kind == "rectangular":
         return rect_blocks(coord, row_layout, col_layout, grid)
-    return vector_blocks(coord, row_layout, grid)
+    return [(I, 1) for I in vector_blocks(coord, row_layout, grid)]
 
 
-def fill_block(kind, key, values, rows, cols=None):
+def fill_block(kind, key, values, rows, cols):
     """A zero block of key's shape with the live part of `values` written in.
 
     `values` is the block's live part or a whole padded block.  A triangular
     diagonal block keeps only its lower triangle and gets ones on its padded
     diagonal; every other padded entry is zero.
     """
-    if kind == "vector":
-        block = np.zeros(rows.block_size)
-        k = rows.live(key)
-        block[:k.stop - k.start] = values[:k.stop - k.start]
-        return block
     I, J = key
     r, c = rows.live(I), cols.live(J)
     kr, kc = r.stop - r.start, c.stop - c.start
@@ -84,29 +82,21 @@ def fill_block(kind, key, values, rows, cols=None):
     return block
 
 
-def split_array(kind, array, grid, row_layout, col_layout=None):
-    """Owned blocks of a master-side dense array for every coordinate of the
-    grid, {coord: blocks}."""
-    def cut(key):
-        if kind == "vector":
-            return array[row_layout.live(key)]
-        return array[row_layout.live(key[0]), col_layout.live(key[1])]
-    return {coord: {key: fill_block(kind, key, cut(key), row_layout,
-                                    col_layout)
-                    for key in owned_blocks(kind, coord, grid, row_layout,
-                                            col_layout)}
+def split_array(kind, array, grid, row_layout, col_layout):
+    """Owned blocks of a master-side dense 2-D array for every coordinate
+    of the grid, {coord: blocks}."""
+    return {coord: {(I, J): fill_block(kind, (I, J),
+                                       array[row_layout.live(I),
+                                             col_layout.live(J)],
+                                       row_layout, col_layout)
+                    for I, J in owned_blocks(kind, coord, grid, row_layout,
+                                             col_layout)}
             for coord in grid.coords()}
 
 
-def assemble(kind, pieces, row_layout, col_layout=None):
-    """Master-side reassembly of collected blocks, without their padding."""
-    if kind == "vector":
-        x = np.zeros(row_layout.n)
-        for blocks in pieces:
-            for J, v in blocks.items():
-                k = row_layout.live(J)
-                x[k] = v[:k.stop - k.start]
-        return x
+def assemble(pieces, row_layout, col_layout):
+    """Master-side reassembly of collected blocks as a 2-D array, without
+    their padding."""
     A = np.zeros((row_layout.n, col_layout.n))
     for blocks in pieces:
         for (I, J), v in blocks.items():

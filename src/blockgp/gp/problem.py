@@ -20,6 +20,7 @@ from scipy.optimize import minimize
 from .. import distla
 from ..errors import (BlockGPError, DimensionMismatch, NonFiniteObjective,
                       NotPositiveDefinite)
+from ..transport import is_integer
 from .kernels import BUILTIN_KERNELS, check_builtin_inputs
 
 log = logging.getLogger(__name__)
@@ -349,12 +350,14 @@ class KrigeProblem:
         return lower + np.tril(lower, -1).T
 
     def simulate_realizations(self, r, post=True):
-        """r realizations: rows are points, columns are draws.
+        """r >= 1 realizations: rows are points, columns are draws.
 
         Unconditional draws are mu + L z; conditional draws are the posterior
         mean plus L_Sigma z with L_Sigma the Cholesky factor of the posterior
         covariance (no jitter is applied if that factorization fails).
         """
+        if not (is_integer(r) and r >= 1):
+            raise DimensionMismatch(f"r must be an integer >= 1, got {r!r}")
         r_layout = distla.make_layout(int(r), self.cluster.grid, self.h_r)
         if post:
             self._check_grid()

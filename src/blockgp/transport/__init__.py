@@ -9,7 +9,7 @@ from .base import Cluster, WorkerContext
 BACKENDS = ("in-process", "multi-process-socket")
 
 
-def _integer(x):
+def is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
@@ -22,13 +22,15 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
     payloads; the socket backend spawns subprocesses connected over loopback
     TCP, each with `blas_threads` BLAS threads when it is not None.
     `blas_threads` must be None or an integer >= 1 on every backend; the
-    in-process backend does not use it.
+    in-process backend does not use it.  The two backends give bit-identical
+    results only when the socket workers run as many BLAS threads as the
+    master process, whose BLAS the in-process workers share.
     """
-    if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
+    if not (is_integer(seed) and 0 <= int(seed) < 2 ** 64):
         raise ConfigError(f"seed must be an integer in [0, 2**64), "
                           f"got {seed!r}")
     if not (blas_threads is None
-            or (_integer(blas_threads) and blas_threads >= 1)):
+            or (is_integer(blas_threads) and blas_threads >= 1)):
         raise ConfigError(f"blas_threads must be None or an integer >= 1, "
                           f"got {blas_threads!r}")
     seed = int(seed)

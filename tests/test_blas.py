@@ -73,7 +73,7 @@ class TestAgainstNumpy:
     def test_trsm_left(self, bs, trans, shape):
         L = _lower(bs)
         rng = np.random.default_rng(4)
-        b = rng.standard_normal(bs if shape == "vector" else (bs, 3))
+        b = rng.standard_normal((bs, 1) if shape == "vector" else (bs, 3))
         got = b.copy()
         blas.trsm(L, got, trans=trans)
         want = la.solve_triangular(L, b, lower=True, trans=int(trans))
@@ -107,11 +107,11 @@ class TestAgainstNumpy:
     @pytest.mark.parametrize("trans_a", [False, True])
     def test_gemm_vector(self, bs, trans_a):
         rng = np.random.default_rng(7)
-        a, x, c = (rng.standard_normal((bs, bs)), rng.standard_normal(bs),
-                   rng.standard_normal(bs))
+        a, x, c = (rng.standard_normal((bs, bs)),
+                   rng.standard_normal((bs, 1)), rng.standard_normal((bs, 1)))
         got = c.copy()
         blas.gemm(a, x, got, 1.0, trans_a=trans_a)
-        assert got.shape == (bs,)
+        assert got.shape == (bs, 1)
         assert relerr(got, c + (a.T if trans_a else a) @ x) < RTOL
 
 
@@ -164,6 +164,26 @@ class TestArguments:
         before = out.copy()
         with pytest.raises(ValueError):
             call(operand, out)
+        np.testing.assert_array_equal(out, before)
+
+    @pytest.mark.parametrize("case", ["gemm-factor", "gemm-accumulator",
+                                      "syrk-factor", "trsm-rhs"])
+    def test_1d_array_is_not_a_column(self, case):
+        # a column is an n x 1 matrix; each call here would be valid with
+        # the 1-D array reshaped to one, and must raise untouched instead
+        rng = np.random.default_rng(13)
+        a, x = rng.standard_normal((7, 7)), rng.standard_normal(7)
+        column, square = np.zeros((7, 1)), np.zeros((7, 7))
+        call, out = {
+            "gemm-factor": (lambda: blas.gemm(a, x, column, 1.0), column),
+            "gemm-accumulator": (lambda: blas.gemm(a, x[:, None], x, 1.0),
+                                 x),
+            "syrk-factor": (lambda: blas.syrk(x, square), square),
+            "trsm-rhs": (lambda: blas.trsm(_lower(7), x), x),
+        }[case]
+        before = out.copy()
+        with pytest.raises(ValueError):
+            call()
         np.testing.assert_array_equal(out, before)
 
     def test_inner_dimensions_checked(self):

@@ -259,7 +259,7 @@ class TestExitCodes:
         ("loglik", ["nu=0.7"], "nu=0.7"),
         ("predict", ["data={dir}/plane.csv"], "coordinate columns"),
         ("loglik", ["h=0"], "h=0"),
-        ("simulate", ["r=0"], "n=0"),
+        ("simulate", ["r=0"], "r must be an integer >= 1, got 0"),
     ], ids=["misspelt-key", "misspelt-workers", "product-kernel-on-1-d",
             "unsupported-nu", "grid-dimension", "h-zero", "r-zero"])
     def test_input_mistake_exits_2(self, workdir, capsys, command, overrides,

@@ -8,7 +8,8 @@ import pytest
 from blockgp import distla, registry
 from blockgp.errors import (DimensionMismatch, GeneratorError,
                             NotPositiveDefinite, SingularDiagonal)
-from blockgp.gp import BUILTIN_KERNELS, matern_correlation, sqexp_correlation
+from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
+                        matern_correlation, sqexp_correlation)
 from blockgp.distla.kernels import _trailing_plan
 from blockgp.grid import (BlockLayout, ProcessGrid, block_owner,
                           rect_block_owner, triangular_blocks,
@@ -779,6 +780,120 @@ def test_a_non_triangular_l_is_rejected_on_the_master(cluster_factory, call):
     with pytest.raises(DimensionMismatch, match="triangular"):
         call(cl, V, b)
     assert cl.stats["collectives"] == issued
+
+
+def _store_snapshot(cl):
+    """Every in-process worker's store: {rank: {name: {key: block bytes}}},
+    with whole objects that are not distributed pieces as they are."""
+    return {rank: {name: ({k: v.tobytes() for k, v in obj.blocks.items()}
+                          if isinstance(obj, distla.LocalPiece) else obj)
+                   for name, obj in w.ctx.store.items()}
+            for rank, w in cl._workers.items()}
+
+
+@pytest.mark.parametrize("call", [
+    lambda cl, L, b: distla.construct_rnorm_distributed(
+        cl, "x", "Vector", L.layout),
+    lambda cl, L, b: distla.construct_distributed(
+        cl, "x", "tri", "test.delta", [], row_layout=L.layout),
+    lambda cl, L, b: distla.distribute(cl, "x", np.ones(7), "vectr",
+                                       L.layout),
+    lambda cl, L, b: distla.triangular_solve(cl, L, b, "x", side="backward"),
+], ids=["rnorm-kind", "construct-kind", "distribute-kind", "solve-side"])
+def test_a_bad_kind_or_side_is_rejected_on_the_master(cluster_factory, call):
+    cl = cluster_factory(3)
+    layout = _layout(cl, 7, 1)
+    L = distla.distribute(cl, "L", np.eye(7), "triangular", layout)
+    b = distla.distribute(cl, "b", np.ones(7), "vector", layout)
+    before, issued = _store_snapshot(cl), cl.stats["collectives"]
+    with pytest.raises(DimensionMismatch,
+                       match=r"is not .*'(vector|back)'"):
+        call(cl, L, b)
+    assert cl.stats["collectives"] == issued
+    assert _store_snapshot(cl) == before
+
+
+def _assert_one_block_format(stores):
+    """Every block of every distributed piece is a 2-D, C-contiguous,
+    aligned float64 array of its layouts' block shape, under an (I, J)
+    key."""
+    for rank, store in enumerate(stores, 1):
+        for name, piece in store.items():
+            if not isinstance(piece, distla.LocalPiece):
+                continue
+            shape = (piece.row_layout.block_size,
+                     piece.col_layout.block_size)
+            for key, block in piece.blocks.items():
+                where = (rank, name, key)
+                assert isinstance(key, tuple) and len(key) == 2, where
+                assert isinstance(block, np.ndarray), where
+                assert block.dtype == np.float64, where
+                assert block.shape == shape, where
+                assert block.flags.c_contiguous and block.flags.aligned, where
+
+
+@pytest.mark.parametrize("backend", ["in-process", "multi-process-socket"])
+def test_every_block_is_a_2d_block(cluster_factory, monkeypatch, backend):
+    """After every public distla function, alone and inside a KrigeProblem
+    run, each worker store holds only 2-D blocks: a vector's too.  The
+    in-process stores are read directly, the socket ones through `pull`."""
+    cl = cluster_factory(3, backend=backend)
+    if backend == "in-process":
+        stores = lambda: [w.ctx.store for w in cl._workers.values()]
+    else:
+        stores = lambda: [{name: cl.pull(name, rank)
+                           for name in cl.remote_ls(rank)}
+                          for rank in range(1, cl.P + 1)]
+    public = {name for name in distla.__all__
+              if inspect.isfunction(getattr(distla, name))}
+    called = set()
+    for name in public:
+        fn = getattr(distla, name)
+
+        def checked(*a, _name=name, _fn=fn, **k):
+            out = _fn(*a, **k)
+            called.add(_name)
+            _assert_one_block_format(stores())
+            return out
+        monkeypatch.setattr(distla, name, checked)
+    rows = distla.make_layout(7, cl.grid, h=2)
+    cols = distla.make_layout(3, cl.grid, h=1)
+    C = distla.distribute(cl, "C", spd_matrix(7), "triangular", rows)
+    L, _ = distla.distributed_cholesky(cl, C, "C")
+    b = distla.distribute(cl, "b", np.ones(7), "vector", rows)
+    u = distla.triangular_solve(cl, L, b, "u", side="forward")
+    distla.triangular_solve(cl, L, b, "b", side="back")
+    distla.mult_chol(cl, L, u, "w")
+    cl.push("inp", {"coords": np.arange(7.0), "pred_coords": np.arange(3.0),
+                    "nu": 0.5})
+    theta = [1.0, 1.5, 0.1]
+    V = distla.construct_distributed(cl, "V", "rectangular",
+                                     "gen.matern-nugget.cross", theta, "inp",
+                                     row_layout=rows, col_layout=cols)
+    distla.construct_distributed(cl, "d", "vector", "gen.matern-nugget.pred",
+                                 theta, "inp", row_layout=cols)
+    distla.crossprod_mat_vec(cl, V, u, "p")
+    distla.crossprod_self(cl, V, "S")
+    distla.crossprod_self(cl, V, "S", subtract=True)
+    distla.crossprod_self_diag(cl, V, "s")
+    distla.construct_rnorm_distributed(cl, "z", "vector", rows)
+    Z = distla.construct_rnorm_distributed(cl, "Z", "rectangular", rows, cols)
+    distla.mult_chol(cl, L, Z, "Z")
+    distla.collect(cl, u)
+    distla.collect_diagonal(cl, L)
+    distla.log_det_from_chol(cl, L)
+    distla.sum_squares(cl, u)
+    assert called == public
+    coords = np.linspace(0.0, 5.0, 9)
+    spec = builtin_spec("matern-nugget", coords, np.linspace(0.5, 4.5, 5))
+    prob = KrigeProblem(cl, "k", spec, np.sin(coords), [1.0, 1.5, 0.1], m=5,
+                        h_n=2, h_m=2, h_r=1)
+    prob.log_density()
+    prob.predict(se_fit=True)
+    prob.prediction_variance()
+    prob.simulate_realizations(2, post=True)
+    prob.simulate_realizations(2, post=False)
+    _assert_one_block_format(stores())
 
 
 class TestScalars:

@@ -897,6 +897,16 @@ class TestSimulate:
         prob = self._prob(cl, m=5)
         assert prob.simulate_realizations(7, post=False).shape == (20, 7)
         assert prob.simulate_realizations(7, post=True).shape == (5, 7)
+        assert prob.simulate_realizations(np.int64(2)).shape == (5, 2)
+
+    @pytest.mark.parametrize("r", [2.5, True, np.True_, "4", 0, -3, None])
+    def test_r_must_be_a_positive_integer(self, cluster_factory, r):
+        cl = cluster_factory(3)
+        prob = self._prob(cl)
+        issued = cl.stats["collectives"]
+        with pytest.raises(DimensionMismatch, match="r must be an integer"):
+            prob.simulate_realizations(r)
+        assert cl.stats["collectives"] == issued
 
 
 class TestBuiltinSpecs:

@@ -93,6 +93,15 @@ class TestDistributedNormals:
         assert a.shape == b.shape == (50,)
         assert not np.array_equal(a, b)
 
+    def test_rectangular_draw_defaults_to_square(self, cluster_factory):
+        # without a column layout the workers draw on the row layout, and
+        # the handle says so
+        cl = cluster_factory(3, seed=5)
+        layout = distla.make_layout(7, cl.grid, h=1)
+        z = distla.construct_rnorm_distributed(cl, "z", "rectangular", layout)
+        assert z.col_layout == layout
+        assert distla.collect(cl, z).shape == (7, 7)
+
     def test_triangular_draw_is_lower_triangular(self, cluster_factory):
         cl = cluster_factory(3, seed=5)
         layout = distla.make_layout(7, cl.grid, h=1)  # 2 blocks of 4, padded
