@@ -35,14 +35,24 @@ def _handle(kind, name, row_layout, col_layout=None):
                             f"'rectangular' or 'vector'")
 
 
-def _check_square(L):
-    if not isinstance(L, DistTriangular):
-        raise DimensionMismatch("expected a distributed triangular matrix")
+_KIND_NAMES = {DistTriangular: "triangular matrix",
+               DistRectangular: "rectangular matrix", DistVector: "vector"}
+
+
+def _check_kind(handle, *kinds):
+    """Reject, on the master and before any collective, a handle that is
+    none of the handle types `kinds`."""
+    if not isinstance(handle, kinds):
+        raise DimensionMismatch(
+            f"expected a distributed "
+            f"{' or '.join(_KIND_NAMES[k] for k in kinds)}, "
+            f"got {type(handle).__name__}")
 
 
 def _run_into(cluster, written, fn_id, **kwargs):
-    """cluster.run for a kernel that writes the object `written`; if it
-    fails, no rank keeps a partial one (nor an input consumed into it)."""
+    """cluster.run for a kernel that writes the object or list of objects
+    `written`; if it fails, no rank keeps a partial one (nor an input
+    consumed into it)."""
     try:
         return cluster.run(fn_id, **kwargs)
     except BlockGPError:
@@ -96,21 +106,39 @@ def distribute(cluster, name, array, kind, row_layout, col_layout=None):
     return handle
 
 
-def distributed_cholesky(cluster, tri, out_name):
+def distributed_cholesky(cluster, tri, out_name, rhs=None):
     """Factor a distributed SPD matrix; consumes the input object in place.
 
-    Returns (handle to L, per-rank residency stats for the memory check).
+    With a distributed vector `rhs` on the matrix's layout, the same sweep
+    also forward-solves it in place (rhs becomes L^-1 rhs), with the
+    messages of one vector block per step.  On failure neither the factor
+    nor the right-hand side is kept.
+
+    Returns (handle to L, per-rank stats in rank order): each rank's
+    residency for the memory check ("peak_blocks", "owned_blocks") and its
+    sums of log diag(L) ("log_diag") and of the solved rhs's squares
+    ("sum_sq", 0 without rhs) over its diagonal blocks.  Summed in rank
+    order, log det = 2 * sum(log_diag) and ||L^-1 rhs||^2 = sum(sum_sq).
     """
-    _check_square(tri)
-    stats = _run_into(cluster, out_name, "distla.cholesky", name=tri.name,
-                      out_name=out_name)
+    _check_kind(tri, DistTriangular)
+    written = out_name
+    if rhs is not None:
+        _check_kind(rhs, DistVector)
+        if rhs.layout != tri.layout:
+            raise DimensionMismatch("right-hand side rows do not conform to "
+                                    "the matrix")
+        written = [out_name, rhs.name]
+    stats = _run_into(cluster, written, "distla.cholesky", name=tri.name,
+                      out_name=out_name,
+                      rhs_name=None if rhs is None else rhs.name)
     return DistTriangular(out_name, tri.layout), stats
 
 
 def _applied(L, rhs, out_name):
     """Handle for L (or its inverse) applied to a conforming vector or
     rectangular right-hand side."""
-    _check_square(L)
+    _check_kind(L, DistTriangular)
+    _check_kind(rhs, DistVector, DistRectangular)
     rows = rhs.layout if isinstance(rhs, DistVector) else rhs.row_layout
     if rows != L.layout:
         raise DimensionMismatch("right-hand side rows do not conform to L")
@@ -143,6 +171,8 @@ def mult_chol(cluster, L, x, out_name):
 
 def crossprod_mat_vec(cluster, V, u, out_name):
     """V^T u as a distributed vector on V's column layout."""
+    _check_kind(V, DistRectangular)
+    _check_kind(u, DistVector)
     if u.layout != V.row_layout:
         raise DimensionMismatch("u layout does not match V's row layout")
     _run_into(cluster, out_name, "distla.xprod", v_name=V.name, u_name=u.name,
@@ -158,6 +188,7 @@ def crossprod_self(cluster, V, out_name, subtract=False):
     block's accumulator starts from S's block and the partials are
     subtracted in the same ascending order, with the same messages.
     """
+    _check_kind(V, DistRectangular)
     _run_into(cluster, out_name, "distla.xprod", v_name=V.name,
               u_name=V.name, out_name=out_name, subtract=subtract)
     return DistTriangular(out_name, V.col_layout)
@@ -165,6 +196,7 @@ def crossprod_self(cluster, V, out_name, subtract=False):
 
 def crossprod_self_diag(cluster, V, out_name):
     """diag(V^T V) as a distributed vector."""
+    _check_kind(V, DistRectangular)
     _run_into(cluster, out_name, "distla.xprod", v_name=V.name, u_name=None,
               out_name=out_name)
     return DistVector(out_name, V.col_layout)
@@ -175,7 +207,7 @@ def _collect(cluster, handle, release=False, diagonal_only=False):
     functions below share it rather than call each other, so each of their
     calls is one collective of its own."""
     if diagonal_only:
-        _check_square(handle)
+        _check_kind(handle, DistTriangular)
     vector = diagonal_only or isinstance(handle, DistVector)
     if isinstance(handle, DistRectangular):
         rl, cl = handle.row_layout, handle.col_layout

@@ -22,10 +22,12 @@ keeping a second copy.
 Block arithmetic runs in place through `blas`, on the C-ordered blocks as
 they are and without the interpreter lock: the sweep factors a diagonal
 block with `potrf`, solves down a column with `trsm`, and updates trailing
-blocks with `syrk` (diagonal) and `gemm` (off-diagonal).  In the shared
-schedule a partial for a local result block is accumulated into it with
-`gemm`, a partial for another rank is computed on its own and sent, and a
-solve finishes each result block with an in-place `trsm`.
+blocks with `syrk` (diagonal) and `gemm` (off-diagonal); given a
+right-hand side vector it forward-solves that in the same sweep (`trsm` of
+u(J) by its diagonal owner, `gemm` updates in the diagonal tasks).  In the
+shared schedule a partial for a local result block is accumulated into it
+with `gemm`, a partial for another rank is computed on its own and sent,
+and a solve finishes each result block with an in-place `trsm`.
 """
 
 import numpy as np
@@ -105,29 +107,44 @@ def construct_rnorm(ctx, name, kind, row_layout, col_layout=None):
 # Cholesky
 
 @registry.register("distla.cholesky")
-def cholesky(ctx, name, out_name):
+def cholesky(ctx, name, out_name, rhs_name=None):
     """Right-looking block Cholesky over the folded triangular layout.
 
-    Factors in place (the input name is consumed).  Column J of each step:
-    the diagonal owner factors, column owners triangular-solve and send each
-    solved L(X, J) once to every rank that uses it, then every trailing
-    block (R, C) is updated with the pair L(R,J), L(C,J) in the order of its
-    owner's plan, which holds each received block from its first use to its
-    last (see `_trailing_plan`).  Returns the peak number of owned plus held
-    blocks, for the memory-bound check; blocks waiting in the mailbox are not
-    counted.
+    Factors in place (the input name is consumed), and with `rhs_name`
+    forward-solves that vector in place in the same sweep: it becomes
+    L^-1 b.  Column J of each step: the diagonal owner factors, column
+    owners triangular-solve and send each solved L(X, J) once to every rank
+    that uses it, then every trailing block (R, C) is updated with the pair
+    L(R,J), L(C,J) in the order of its owner's plan, which holds each
+    received block from its first use to its last (see `_trailing_plan`).
+    Returns this rank's peak number of owned plus held blocks, for the
+    memory-bound check (blocks waiting in the mailbox and vector blocks are
+    not counted), and its sums of log diag L(J, J) and of ||u(J)||^2 over
+    the diagonal blocks it owns (the latter 0 without a right-hand side).
     """
     piece = ctx.fetch(name)
+    rhs = None if rhs_name is None else ctx.fetch(rhs_name).blocks
     if out_name != name:
         ctx.store[out_name] = piece
         del ctx.store[name]
-    return _cholesky_sweep(ctx, out_name, piece.blocks, piece.row_layout)
+    return _cholesky_sweep(ctx, out_name, piece.blocks, piece.row_layout, rhs)
 
 
-def _cholesky_sweep(ctx, out_name, blocks, lay):
+def _cholesky_sweep(ctx, out_name, blocks, lay, u=None):
+    """The step-J sweep over L's blocks, and over the (I, 1) blocks `u` of a
+    right-hand side if given.
+
+    u(J) lives with L(J, J), so in step J their owner solves it in place
+    once its column blocks are sent, and sends it ("x") once to each other
+    diagonal rank with a row block of its residue below J.  That rank
+    applies u(I) -= L(I, J) u(J) in its (I, I) task, while it holds L(I, J)
+    for the `syrk`; so each u(I) takes its updates in ascending J, then its
+    own solve in step I.  Padding adds log 1 = 0 and 0^2 to the local sums.
+    """
     grid, me = ctx.grid, ctx.coord
     B, bs = lay.B, lay.block_size
     owned = peak = len(blocks)
+    log_diag = sum_sq = 0.0
     for J in range(1, B + 1):
         downer = block_owner(J, J, grid)
         # factor the diagonal block
@@ -142,6 +159,7 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
                                 for I in range(J + 1, B + 1)}):
                 if dest != me:
                     ctx.send(dest, (out_name, "diag", J, J), L)
+            log_diag += float(np.sum(np.log(np.diag(L))))
         # triangular solves down column J, each block sent on as soon as
         # it is solved, once to each rank whose trailing blocks use it
         my_rows = [I for I in range(J + 1, B + 1)
@@ -161,6 +179,15 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
                         ctx.send(dest, (out_name, "col", I, J),
                                  blocks[(I, J)])
             del Ljj
+        # solve u(J) after the column blocks the trailing updates wait for
+        uJ = None
+        if u is not None and me == downer:
+            uJ = u[(J, 1)]
+            blas.trsm(blocks[(J, J)], uJ)
+            sum_sq += float(np.vdot(uJ, uJ))
+            for dest in sorted({vector_block_owner(I, grid)
+                                for I in range(J + 1, B + 1)} - {me}):
+                ctx.send(dest, (out_name, "x", J, 1), uJ)
         # trailing updates, walking this rank's plan
         held = {}
         for R, C, receive, done in _trailing_plan(J, B, grid, me):
@@ -171,12 +198,17 @@ def _cholesky_sweep(ctx, out_name, blocks, lay):
             Lr, Lc = (held[X] if X in held else blocks[(X, J)] for X in (R, C))
             if R == C:
                 blas.syrk(Lr, blocks[(R, C)])
+                if u is not None:
+                    if uJ is None:
+                        uJ = ctx.recv(downer, (out_name, "x", J, 1), (bs, 1))
+                    blas.gemm(Lr, uJ, u[(R, 1)], -1.0)
             else:
                 blas.gemm(Lr, Lc, blocks[(R, C)], -1.0, trans_b=True)
             ctx.log_event("update", R, C)
             for X in done:
                 del held[X]
-    return {"peak_blocks": peak, "owned_blocks": owned}
+    return {"peak_blocks": peak, "owned_blocks": owned,
+            "log_diag": log_diag, "sum_sq": sum_sq}
 
 
 def _trailing_plan(J, B, grid, coord):

@@ -21,25 +21,49 @@ HALF_INTEGER_NU = (0.5, 1.5, 2.5)
 DEFAULT_NU = 0.5
 
 
-def matern_correlation(d, rho, nu):
-    """Half-integer Matern correlation of a distance (array); in (0, 1]."""
-    d = np.asarray(d, dtype=float)
+def _matern_in_place(s, rho, nu):
+    """Turn the distances in the float array `s` into half-integer Matern
+    correlations in place, in the elementwise order of the closed forms
+    exp(-s), (1 + s) exp(-s) and (1 + s + s*s/3) exp(-s) of the scaled
+    distance; returns s."""
     if rho <= 0:
         raise ValueError(f"range must be positive, got {rho}")
-    s = np.sqrt(2.0 * nu) * d / rho
+    if nu not in HALF_INTEGER_NU:
+        raise UnsupportedSmoothness(
+            f"nu={nu} not supported; use one of {HALF_INTEGER_NU}")
+    np.multiply(s, np.sqrt(2.0 * nu), out=s)
+    np.divide(s, rho, out=s)
     if nu == 0.5:
-        return np.exp(-s)
-    if nu == 1.5:
-        return (1.0 + s) * np.exp(-s)
+        np.negative(s, out=s)
+        return np.exp(s, out=s)
+    e = np.negative(s, out=np.empty_like(s))
+    np.exp(e, out=e)
     if nu == 2.5:
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    raise UnsupportedSmoothness(
-        f"nu={nu} not supported; use one of {HALF_INTEGER_NU}")
+        q = np.multiply(s, s, out=np.empty_like(s))
+        np.divide(q, 3.0, out=q)
+        np.add(s, 1.0, out=s)
+        np.add(s, q, out=s)
+    else:
+        np.add(s, 1.0, out=s)
+    return np.multiply(s, e, out=s)
+
+
+def _sqexp_in_place(s, rho):
+    """exp(-0.5 (s / rho)^2) of the distances in `s`, in place; returns s."""
+    np.divide(s, rho, out=s)
+    np.square(s, out=s)
+    np.multiply(s, -0.5, out=s)
+    return np.exp(s, out=s)
+
+
+def matern_correlation(d, rho, nu):
+    """Half-integer Matern correlation of a distance (array); in (0, 1].
+    Works on a copy of d: a scalar distance gives a numpy scalar."""
+    return _matern_in_place(np.array(d, dtype=float), rho, nu)[()]
 
 
 def sqexp_correlation(d, rho):
-    d = np.asarray(d, dtype=float)
-    return np.exp(-0.5 * (d / rho) ** 2)
+    return _sqexp_in_place(np.array(d, dtype=float), rho)[()]
 
 
 def _points(inputs, key, idx):
@@ -48,23 +72,25 @@ def _points(inputs, key, idx):
     return (pts[:, None] if pts.ndim == 1 else pts)[idx - 1]
 
 
-# Correlations of two point sets X (rows) and Y (columns).
+# Correlations of two point sets X (rows) and Y (columns), each computed
+# in the array cdist returns.
 
 def _sqexp_corr(params, inputs, X, Y):
-    return sqexp_correlation(cdist(X, Y), params[1])
+    return _sqexp_in_place(cdist(X, Y), params[1])
 
 
 def _matern_corr(params, inputs, X, Y):
-    return matern_correlation(cdist(X, Y), params[1],
-                              inputs.get("nu", DEFAULT_NU))
+    return _matern_in_place(cdist(X, Y), params[1],
+                            inputs.get("nu", DEFAULT_NU))
 
 
 def _product_corr(params, inputs, X, Y):
     """One Matern per coordinate axis of 2-D points."""
-    d1 = cdist(X[:, :1], Y[:, :1], "cityblock")
-    d2 = cdist(X[:, 1:2], Y[:, 1:2], "cityblock")
-    return (matern_correlation(d1, params[1], inputs.get("nu1", DEFAULT_NU)) *
-            matern_correlation(d2, params[2], inputs.get("nu2", DEFAULT_NU)))
+    k = _matern_in_place(cdist(X[:, :1], Y[:, :1], "cityblock"), params[1],
+                         inputs.get("nu1", DEFAULT_NU))
+    return np.multiply(k, _matern_in_place(
+        cdist(X[:, 1:2], Y[:, 1:2], "cityblock"), params[2],
+        inputs.get("nu2", DEFAULT_NU)), out=k)
 
 
 def _no_corr(params, inputs, X, Y):
@@ -91,11 +117,17 @@ _POINT_SETS = {"cov": ("coords", "coords"),
 
 
 def _block_generator(corr, rows, cols, add_delta):
+    """The generator of one kernel and point-set pair: theta[0] times the
+    correlation block, plus theta[-1] where the row and column index agree
+    if `add_delta`, finished in the correlation's own array."""
     def gen(params, inputs, i, j):
-        k = params[0] * corr(params, inputs, _points(inputs, rows, i),
-                             _points(inputs, cols, j))
+        k = corr(params, inputs, _points(inputs, rows, i),
+                 _points(inputs, cols, j))
+        np.multiply(k, params[0], out=k)
         if add_delta:
-            k = k + params[-1] * np.equal.outer(i, j)
+            _, r, c = np.intersect1d(i, j, assume_unique=True,
+                                     return_indices=True)
+            k[r, c] += params[-1]
         return k
     return gen
 

@@ -208,13 +208,12 @@ class KrigeProblem:
             self._remove(keep=("inputs",))
             cov = self._construct("L", "triangular", self.spec.cov_fn, theta,
                                   self.row_layout)
-            distla.distributed_cholesky(self.cluster, cov, cov.name)
-            resid = distla.distribute(self.cluster, self._u.name, self.y - mu,
-                                      "vector", self.row_layout)
-            distla.triangular_solve(self.cluster, self._L, resid,
-                                    self._u.name, side="forward")
-            logdet = distla.log_det_from_chol(self.cluster, self._L)
-            ssq = distla.sum_squares(self.cluster, self._u)
+            u = distla.distribute(self.cluster, self._u.name, self.y - mu,
+                                  "vector", self.row_layout)
+            _, stats = distla.distributed_cholesky(self.cluster, cov,
+                                                   cov.name, rhs=u)
+            logdet = 2.0 * sum(s["log_diag"] for s in stats)
+            ssq = sum(s["sum_sq"] for s in stats)
             self._state = {"fp": fp, "mu": mu,
                            "ll": -0.5 * self.n * LOG_2PI - 0.5 * logdet
                            - 0.5 * ssq}

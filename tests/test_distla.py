@@ -1,5 +1,6 @@
 """Distributed linear-algebra kernels against serial dense oracles."""
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -13,7 +14,7 @@ from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
 from blockgp.distla.kernels import _trailing_plan
 from blockgp.grid import (BlockLayout, ProcessGrid, block_owner,
                           rect_block_owner, triangular_blocks,
-                          triangular_order)
+                          triangular_order, vector_block_owner)
 from blockgp.transport import wire
 from blockgp.transport.inprocess import InProcessCluster
 
@@ -261,6 +262,54 @@ class TestConstruct:
             kernel, theta, pred, pred, kernel == "white", inputs)))
 
 
+# sha256 (first 16 hex digits) of the collected C, Cx and Cp of each
+# built-in kernel and smoothness in `test_builtin_kernel_bits_are_pinned`,
+# as the out-of-place formulas gave them: the in-place generators must
+# reproduce every bit
+GENERATOR_BITS = {
+    ("sqexp", ()): "5f3a76854ff4c992",
+    ("white", ()): "39e9793d04a149d2",
+    ("matern", (0.5,)): "3515a3e9a8e41ffe",
+    ("matern", (1.5,)): "59f9b0aa23195144",
+    ("matern", (2.5,)): "b5694fc758dbe8ba",
+    ("matern-nugget", (0.5,)): "e23764c4d4fff56e",
+    ("matern-nugget", (1.5,)): "a7720022002396f5",
+    ("matern-nugget", (2.5,)): "eea4d210ceda0e0f",
+    ("matern-product-nugget", (0.5, 0.5)): "6111606c88477805",
+    ("matern-product-nugget", (0.5, 1.5)): "5d3b9483df4ab4cd",
+    ("matern-product-nugget", (0.5, 2.5)): "b8f82b6b7ab5a350",
+    ("matern-product-nugget", (1.5, 0.5)): "e712fd7b9d69e232",
+    ("matern-product-nugget", (1.5, 1.5)): "4f693bd55cb82dad",
+    ("matern-product-nugget", (1.5, 2.5)): "de5faf1a80d0a985",
+    ("matern-product-nugget", (2.5, 0.5)): "c571130233e9d10c",
+    ("matern-product-nugget", (2.5, 1.5)): "9a755d0dc767607d",
+    ("matern-product-nugget", (2.5, 2.5)): "717e9fd76321b95a",
+}
+
+
+@pytest.mark.parametrize("kernel,nus", list(GENERATOR_BITS),
+                         ids=[f"{k}-{'-'.join(map(str, nus))}".rstrip("-")
+                              for k, nus in GENERATOR_BITS])
+def test_builtin_kernel_bits_are_pinned(cluster_factory, kernel, nus):
+    cl = cluster_factory(3)
+    rng = np.random.default_rng(8)
+    coords, pred = rng.uniform(0, 5, (41, 2)), rng.uniform(0, 5, (17, 2))
+    keys = {"matern": ("nu",), "matern-nugget": ("nu",),
+            "matern-product-nugget": ("nu1", "nu2")}.get(kernel, ())
+    cl.push("inp", {"coords": coords, "pred_coords": pred,
+                    **dict(zip(keys, nus))})
+    rows, cols = _layout(cl, 41, 2), _layout(cl, 17, 1)
+    digest = hashlib.sha256()
+    for kind, obj, rl, cl_ in [("cov", "triangular", rows, None),
+                               ("cross", "rectangular", rows, cols),
+                               ("pred", "triangular", cols, None)]:
+        handle = distla.construct_distributed(
+            cl, kind, obj, f"gen.{kernel}.{kind}", KERNEL_THETAS[kernel],
+            inputs_name="inp", row_layout=rl, col_layout=cl_)
+        digest.update(distla.collect(cl, handle, release=True).tobytes())
+    assert digest.hexdigest()[:16] == GENERATOR_BITS[kernel, nus]
+
+
 class TestDistributeCollect:
     @pytest.mark.parametrize("P,h", LAYOUTS)
     def test_vector_round_trip_bit_exact(self, cluster_factory, P, h):
@@ -329,6 +378,24 @@ class TestAllPaddingBlock:
         assert relerr(distla.collect(cl, x), np.linalg.solve(Lw, b)) <= 1e-12
         S = distla.crossprod_self(cl, V, "S")
         assert relerr(distla.collect(cl, S), np.tril(V0.T @ V0)) <= 1e-12
+
+    def test_cholesky_with_rhs(self, cluster_factory):
+        cl = cluster_factory(3)
+        rows = _layout(cl, 5, 3)
+        A = spd_matrix(5, seed=22)
+        b = np.random.default_rng(21).standard_normal(5)
+        C = distla.distribute(cl, "C", A, "triangular", rows)
+        u = distla.distribute(cl, "u", b, "vector", rows)
+        L, stats = distla.distributed_cholesky(cl, C, "L", rhs=u)
+        _assert_drained(cl)
+        Lw = np.linalg.cholesky(A)
+        want = np.linalg.solve(Lw, b)
+        assert relerr(distla.collect(cl, L), Lw) <= 1e-12
+        assert relerr(distla.collect(cl, u), want) <= 1e-12
+        assert 2.0 * sum(s["log_diag"] for s in stats) == pytest.approx(
+            np.linalg.slogdet(A)[1], rel=1e-12)
+        assert sum(s["sum_sq"] for s in stats) == pytest.approx(
+            want @ want, rel=1e-12)
 
 
 class TestCholesky:
@@ -523,6 +590,89 @@ class TestCholeskyTraffic:
                 if tag[1] == "col"]
         assert len(cols) == len(set(cols)) == _plan_replay(h, cl.grid.D)[0]
         assert relerr(distla.collect(cl, L), np.linalg.cholesky(A)) <= 1e-12
+
+
+class TestCholeskyWithRhs:
+    """The Cholesky forward-solves a right-hand side in its sweep: u(J) is
+    solved by L(J, J)'s owner and sent once to each other diagonal rank
+    with a row block below J, and each rank returns its local sums of
+    log diag L and of u's squares."""
+
+    @pytest.mark.parametrize("P,h", [(1, 1), (1, 3), (3, 1), (3, 4), (6, 2),
+                                     (6, 3)])
+    def test_matches_separate_factor_and_solve(self, cluster_factory, P, h):
+        cl = cluster_factory(P)
+        n = 3 * h * cl.grid.D + 1
+        A = spd_matrix(n, seed=P + h)
+        b = np.random.default_rng(h).standard_normal(n)
+        rows = _layout(cl, n, h)
+        C = distla.distribute(cl, "C", A, "triangular", rows)
+        L0, plain = distla.distributed_cholesky(cl, C, "L0")
+        C = distla.distribute(cl, "C", A, "triangular", rows)
+        u = distla.distribute(cl, "u", b, "vector", rows)
+        L, stats = distla.distributed_cholesky(cl, C, "L", rhs=u)
+        _assert_drained(cl)
+        # L, its residency and its log diag are those of a plain factor
+        np.testing.assert_array_equal(distla.collect(cl, L),
+                                      distla.collect(cl, L0))
+        assert [(s["peak_blocks"], s["owned_blocks"], s["log_diag"])
+                for s in stats] == [(s["peak_blocks"], s["owned_blocks"],
+                                     s["log_diag"]) for s in plain]
+        assert all(s["sum_sq"] == 0.0 for s in plain)
+        x = distla.triangular_solve(
+            cl, L0, distla.distribute(cl, "b", b, "vector", rows), "x")
+        got, want = distla.collect(cl, u), distla.collect(cl, x)
+        assert relerr(got, want) <= 1e-13
+        assert relerr(got, np.linalg.solve(np.linalg.cholesky(A), b)) <= 1e-12
+        logdet = 2.0 * sum(s["log_diag"] for s in stats)
+        assert logdet == pytest.approx(distla.log_det_from_chol(cl, L),
+                                       rel=1e-14)
+        assert logdet == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+        assert sum(s["sum_sq"] for s in stats) == pytest.approx(
+            distla.sum_squares(cl, x), rel=1e-13)
+        for rank in range(1, cl.P + 1):
+            assert cl.remote_ls(rank) == ["L", "L0", "b", "u", "x"]
+
+    @pytest.mark.parametrize("P", [1, 3, 6])
+    def test_one_vector_block_per_diagonal_rank_and_step(
+            self, cluster_factory, monkeypatch, P):
+        delivered = _counting_deliveries(monkeypatch)
+        cl = cluster_factory(P)
+        h = 3
+        n = h * cl.grid.D * 2 - 1
+        rows = _layout(cl, n, h)
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=P), "triangular",
+                              rows)
+        u = distla.distribute(cl, "u", np.ones(n), "vector", rows)
+        delivered.clear()
+        distla.distributed_cholesky(cl, C, "L", rhs=u)
+        _assert_drained(cl)
+        grid = cl.grid
+        xs = sorted((dst, tag[2]) for dst, tag in delivered
+                    if tag[1] == "x")
+        assert xs == sorted(
+            (grid.coord_to_rank(*c), J) for J in range(1, rows.B + 1)
+            for c in {vector_block_owner(I, grid)
+                      for I in range(J + 1, rows.B + 1)}
+            - {vector_block_owner(J, grid)})
+        assert len(xs) <= (grid.D - 1) * rows.B
+        assert {tag[1] for _, tag in delivered} <= {"col", "diag", "x"}
+
+    def test_mid_sweep_failure_keeps_neither_factor_nor_rhs(
+            self, cluster_factory):
+        # n=12 on P=3 with h=2: four blocks of three; steps 1 and 2 solve
+        # u(1) and u(2) and update the rest, then block 3 is not positive
+        cl = cluster_factory(3)
+        rows = _layout(cl, 12, 2)
+        A = np.eye(12)
+        A[8, 8] = -1.0
+        C = distla.distribute(cl, "C", A, "triangular", rows)
+        u = distla.distribute(cl, "u", np.ones(12), "vector", rows)
+        with pytest.raises(NotPositiveDefinite) as info:
+            distla.distributed_cholesky(cl, C, "L", rhs=u)
+        assert info.value.block_index == 3
+        for rank in range(1, 4):
+            assert cl.remote_ls(rank) == []
 
 
 class TestTriangularSolves:
@@ -813,6 +963,42 @@ def test_a_bad_kind_or_side_is_rejected_on_the_master(cluster_factory, call):
     assert _store_snapshot(cl) == before
 
 
+@pytest.mark.parametrize("call", [
+    lambda cl, L, T, R, b, c: distla.triangular_solve(cl, L, T, "x"),
+    lambda cl, L, T, R, b, c: distla.mult_chol(cl, L, T, "x"),
+    lambda cl, L, T, R, b, c: distla.crossprod_mat_vec(cl, R, R, "w"),
+    lambda cl, L, T, R, b, c: distla.crossprod_mat_vec(cl, T, b, "w"),
+    lambda cl, L, T, R, b, c: distla.crossprod_self(cl, T, "S"),
+    lambda cl, L, T, R, b, c: distla.crossprod_self(cl, T, "T",
+                                                    subtract=True),
+    lambda cl, L, T, R, b, c: distla.crossprod_self_diag(cl, T, "s"),
+    lambda cl, L, T, R, b, c: distla.distributed_cholesky(cl, T, "M",
+                                                          rhs=R),
+    lambda cl, L, T, R, b, c: distla.distributed_cholesky(cl, T, "M",
+                                                          rhs=c),
+], ids=["solve-triangular-rhs", "mult-triangular-x",
+        "mat-vec-rectangular-u", "mat-vec-triangular-v",
+        "self-triangular-v", "self-subtract-triangular-v",
+        "self-diag-triangular-v", "cholesky-rectangular-rhs",
+        "cholesky-nonconforming-rhs"])
+def test_a_wrong_handle_kind_is_rejected_on_the_master(cluster_factory,
+                                                       call):
+    cl = cluster_factory(3)
+    layout, short = _layout(cl, 7, 1), _layout(cl, 6, 1)
+    L = distla.distribute(cl, "L", np.eye(7), "triangular", layout)
+    T = distla.distribute(cl, "T", spd_matrix(7), "triangular", layout)
+    R = distla.distribute(cl, "R", np.ones((7, 7)), "rectangular", layout,
+                          layout)
+    b = distla.distribute(cl, "b", np.ones(7), "vector", layout)
+    c = distla.distribute(cl, "c", np.ones(6), "vector", short)
+    before, issued = _store_snapshot(cl), cl.stats["collectives"]
+    with pytest.raises(DimensionMismatch,
+                       match="expected a distributed|do not conform"):
+        call(cl, L, T, R, b, c)
+    assert cl.stats["collectives"] == issued
+    assert _store_snapshot(cl) == before
+
+
 def _assert_one_block_format(stores):
     """Every block of every distributed piece is a 2-D, C-contiguous,
     aligned float64 array of its layouts' block shape, under an (I, J)
@@ -999,6 +1185,7 @@ class TestSchedules:
     # padded rows (n=13, block size 4) and columns (m=7, block size 2)
     TRAFFIC = {
         "cholesky": {"col": (6, 768), "diag": (3, 384)},
+        "cholesky_rhs": {"col": (6, 768), "diag": (3, 384), "x": (3, 96)},
         "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
         "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
         "solve_rect_forward": {"col": (12, 768), "diag": (8, 1024),
@@ -1064,6 +1251,10 @@ class TestSchedules:
             lambda: distla.crossprod_self_diag(cl, R, "d"))
         got["xprod_self_sub"] = traffic(
             lambda: distla.crossprod_self(cl, R, "S", subtract=True))
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=16), "triangular",
+                              rows)
+        got["cholesky_rhs"] = traffic(
+            lambda: distla.distributed_cholesky(cl, C, "M", rhs=b))
         assert got == self.TRAFFIC
 
 
