@@ -13,7 +13,10 @@ vector's (I, 1) blocks live on the diagonal workers.  Solves, multiplies
 and crossproducts share one schedule with one travel rule: each partial
 product runs where the matrix block (L or V) lives, the operand block
 travels there ("x" for a vector, "col" otherwise), and the partial travels
-to the result block's owner ("ps").
+to the result block's owner ("ps").  The schedule runs one stage per result
+block row; in each, every rank first sends the partials it owes to others
+(produce pass), then builds its own blocks of the row (consume pass), so
+the ranks do not wait on each other cell by cell.
 
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
@@ -295,8 +298,25 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     where the block of M lives; the operand block X(K, c) travels there per
     use, and the partial travels to the result's owner ("ps"), which
     accumulates in ascending K.  A solve's operand blocks are its own solved
-    result blocks, and its owner then receives L(J, J) per use ("diag") and
-    solves; a solve into its own right-hand side accumulates in B's block.
+    result blocks; a solve into its own right-hand side accumulates in B's
+    block.
+
+    The walk runs in stages, one per result block row J (descending for
+    "back", ascending otherwise: a solve's row reads the rows solved
+    before it).  A solve's stage opens with the owner of L(J, J) sending it
+    once to each other owner of a block of row J ("diag"), which holds it
+    for the row.  Then two passes over the row's triples (J, c, K):
+    - produce: each partial owed to another rank is computed and sent;
+    - consume: each rank builds its own blocks of the row in ascending K,
+      applying local partials in place and adding received ones, and
+      finishes them (a solve's trsm, V^T V's tril).
+    So no rank waits for a partial of a row before it has sent all it owes
+    for that row.  Nothing can deadlock: within a pass every rank walks the
+    same triples in the same order, and a rank waits only for a message
+    sent at the same triple of the same pass by a rank that only sends
+    there (an operand), or sent earlier in the stage (L(J, J), and the
+    partials of the produce pass), or in an earlier stage (a solved
+    operand block).
     """
     M = ctx.fetch(m_name)
     X = None if x_name is None else ctx.fetch(x_name)
@@ -318,24 +338,24 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         else:
             res = (LocalPiece("triangular", clay, clay, {}) if square
                    else LocalPiece("vector", clay, UNIT, {}))
-        cells = [(A, c) for A in range(1, clay.B + 1)
-                 for c in range(1, (A if square else 1) + 1)]
+        rows = range(1, clay.B + 1)
+        row_cols = lambda A: range(1, (A if square else 1) + 1)
     else:
         res = LocalPiece(X.kind, M.row_layout, X.col_layout,
                          X.blocks if in_place else {})
-        cells = [(J, c) for J in (range(B, 0, -1) if op == "back"
-                                  else range(1, B + 1))
-                 for c in range(1, X.col_layout.B + 1)]
+        rows = range(B, 0, -1) if op == "back" else range(1, B + 1)
+        row_cols = lambda J: range(1, X.col_layout.B + 1)
     res_owner, shape, _ = _operand(res, grid)
     if X is not None:
         x_owner, x_shape, phase = _operand(X, grid)
         xs = res.blocks if solving else X.blocks  # what the partials multiply
     transposed = op in ("back", "xprod")
+    mkey = (lambda J, K: (K, J)) if transposed else (lambda J, K: (J, K))
     sign = -1.0 if solving or subtract else 1.0
     combine = np.subtract if sign < 0 else np.add
-    # accumulator start, products and finish of one result block: a
-    # partial for another rank is computed on its own, a local one is
-    # accumulated in place
+    # accumulator start and products of one result block, and the finish
+    # of a row's blocks: a partial for another rank is computed on its own,
+    # a local one is accumulated in place
     if in_place:
         start = lambda key: res.blocks[key]
     elif solving:
@@ -353,41 +373,62 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     if solving:
         bs = M.row_layout.block_size
 
-        def finish(J, c, acc):
+        def row_finish(J):
+            """Solve row J's blocks by L(J, J), received once for the row."""
             downer = block_owner(J, J, grid)
             Ljj = (M.blocks[(J, J)] if downer == me else
                    ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
             if np.any(np.diag(Ljj) == 0.0):
                 raise SingularDiagonal(f"zero diagonal in block {J}")
-            blas.trsm(Ljj, acc, trans=op == "back")
-            return acc
+
+            def finish(c, acc):
+                blas.trsm(Ljj, acc, trans=op == "back")
+                return acc
+            return finish
     else:  # V^T V keeps its diagonal blocks lower triangular
-        finish = lambda J, c, acc: np.tril(acc) if square and J == c else acc
-    for J, c in cells:
-        towner = res_owner(J, c)
-        ps = (out_name, "ps", J, c)
-        if solving and block_owner(J, J, grid) == me and towner != me:
-            ctx.send(towner, (out_name, "diag", J, J), M.blocks[(J, J)])
-        if towner == me:
-            acc = start((J, c))
-        for K in Ks(J):
-            mkey = (K, J) if transposed else (J, K)
-            where = rect_block_owner(*mkey, grid)
-            if X is not None:
-                xowner, tag = x_owner(K, c), (out_name, phase, K, c)
-                if xowner == me and where != me:
-                    ctx.send(where, tag, xs[(K, c)])
-            if where == me:
-                xk = (None if X is None else xs[(K, c)] if xowner == me
-                      else ctx.recv(xowner, tag, x_shape))
-                if towner == me:
-                    accumulate(acc, M.blocks[mkey], xk)
-                else:
-                    ctx.send(towner, ps, product(M.blocks[mkey], xk))
-            elif towner == me:
-                combine(acc, ctx.recv(where, ps, shape), out=acc)
-        if towner == me:
-            res.blocks[(J, c)] = finish(J, c, acc)
+        row_finish = lambda J: (lambda c, acc: np.tril(acc)
+                                if square and J == c else acc)
+
+    def operand(K, c, where):
+        """X(K, c) on the rank `where` (None elsewhere, or without X); its
+        owner sends it there."""
+        if X is None:
+            return None
+        xowner, tag = x_owner(K, c), (out_name, phase, K, c)
+        if xowner == me and where != me:
+            ctx.send(where, tag, xs[(K, c)])
+        if where == me:
+            return (xs[(K, c)] if xowner == me
+                    else ctx.recv(xowner, tag, x_shape))
+    for J in rows:
+        cells = [(c, res_owner(J, c)) for c in row_cols(J)]
+        owners = {towner for _, towner in cells}
+        if solving and block_owner(J, J, grid) == me:
+            for dest in sorted(owners - {me}):
+                ctx.send(dest, (out_name, "diag", J, J), M.blocks[(J, J)])
+        for c, towner in cells:  # produce
+            for K in Ks(J):
+                where = rect_block_owner(*mkey(J, K), grid)
+                if where != towner:
+                    xk = operand(K, c, where)
+                    if where == me:
+                        ctx.send(towner, (out_name, "ps", J, c),
+                                 product(M.blocks[mkey(J, K)], xk))
+        finish = row_finish(J) if me in owners else None
+        for c, towner in cells:  # consume
+            if towner == me:
+                acc = start((J, c))
+            for K in Ks(J):
+                where = rect_block_owner(*mkey(J, K), grid)
+                if where == towner:
+                    xk = operand(K, c, where)
+                    if where == me:
+                        accumulate(acc, M.blocks[mkey(J, K)], xk)
+                elif towner == me:
+                    combine(acc, ctx.recv(where, (out_name, "ps", J, c),
+                                          shape), out=acc)
+            if towner == me:
+                res.blocks[(J, c)] = finish(c, acc)
     ctx.store[out_name] = res
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from blockgp.grid import (BlockLayout, ProcessGrid, block_owner,
                           rect_block_owner, triangular_blocks,
                           triangular_order, vector_block_owner)
 from blockgp.transport import wire
+from blockgp.transport.base import WorkerContext
 from blockgp.transport.inprocess import InProcessCluster
 
 from conftest import exp_cov, relerr, spd_matrix
@@ -84,6 +86,27 @@ def _assert_drained(cl):
         mailbox = w.mailbox
         assert not any(mailbox._stash.values()), f"rank {rank} stash"
         assert mailbox._incoming.empty(), f"rank {rank} incoming queue"
+
+
+def _within_deadline(call, seconds=60):
+    """call()'s result, run on a daemon thread; the test fails if it has not
+    returned after `seconds`.  A schedule whose ranks wait on each other in
+    a cycle would otherwise hang the master, and the suite with it."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = call()
+        except BaseException as exc:
+            out["error"] = exc
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        pytest.fail(f"collective still running after {seconds} s: deadlock?")
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def _counting_deliveries(monkeypatch):
@@ -1188,9 +1211,9 @@ class TestSchedules:
         "cholesky_rhs": {"col": (6, 768), "diag": (3, 384), "x": (3, 96)},
         "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
         "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
-        "solve_rect_forward": {"col": (12, 768), "diag": (8, 1024),
+        "solve_rect_forward": {"col": (12, 768), "diag": (4, 512),
                                "ps": (12, 768)},
-        "solve_rect_back": {"col": (12, 768), "diag": (8, 1024),
+        "solve_rect_back": {"col": (12, 768), "diag": (4, 512),
                             "ps": (12, 768)},
         "mult_vector": {"ps": (4, 128), "x": (4, 128)},
         "mult_rect": {"col": (20, 1280), "ps": (20, 1280)},
@@ -1256,6 +1279,137 @@ class TestSchedules:
         got["cholesky_rhs"] = traffic(
             lambda: distla.distributed_cholesky(cl, C, "M", rhs=b))
         assert got == self.TRAFFIC
+
+    @staticmethod
+    def _schedule_calls(cl, n=23, m=11):
+        """(name, call) of every kernel that runs through the shared
+        schedule, each returning its result's handle, on rows and columns
+        that are both padded."""
+        rows, cols = _layout(cl, n, 2), _layout(cl, m, 2)
+        rng = np.random.default_rng(20)
+        C = distla.distribute(cl, "C", spd_matrix(n, seed=20), "triangular",
+                              rows)
+        L, _ = distla.distributed_cholesky(cl, C, "L")
+        b = distla.distribute(cl, "b", rng.standard_normal(n), "vector", rows)
+        R0 = rng.standard_normal((n, m))
+        R = distla.distribute(cl, "R", R0, "rectangular", rows, cols)
+        S0 = spd_matrix(m, seed=21)
+
+        def in_place_solve():
+            Q = distla.distribute(cl, "Q", R0, "rectangular", rows, cols)
+            return distla.triangular_solve(cl, L, Q, "Q")
+
+        def subtracting_xprod():
+            distla.distribute(cl, "S", S0, "triangular", cols)
+            return distla.crossprod_self(cl, R, "S", subtract=True)
+        return [
+            ("solve_vector_forward",
+             lambda: distla.triangular_solve(cl, L, b, "x", side="forward")),
+            ("solve_vector_back",
+             lambda: distla.triangular_solve(cl, L, b, "x", side="back")),
+            ("solve_rect_forward",
+             lambda: distla.triangular_solve(cl, L, R, "X", side="forward")),
+            ("solve_rect_back",
+             lambda: distla.triangular_solve(cl, L, R, "X", side="back")),
+            ("solve_rect_in_place", in_place_solve),
+            ("mult_vector", lambda: distla.mult_chol(cl, L, b, "y")),
+            ("mult_rect", lambda: distla.mult_chol(cl, L, R, "Y")),
+            ("xprod_mat_vec", lambda: distla.crossprod_mat_vec(cl, R, b, "w")),
+            ("xprod_self", lambda: distla.crossprod_self(cl, R, "V")),
+            ("xprod_self_diag",
+             lambda: distla.crossprod_self_diag(cl, R, "d")),
+            ("xprod_self_sub", subtracting_xprod),
+        ]
+
+    # sha256 (first 16 hex digits) of each `_schedule_calls` result as
+    # collected, for P = 3, 6 and 10, recorded while the schedule still
+    # walked cell by cell: the order of the walk must not change a bit
+    BITS = {
+        3: {
+            "solve_vector_forward": "dc286153b1611560",
+            "solve_vector_back": "0fb288b7166b0a21",
+            "solve_rect_forward": "8f234a760944592c",
+            "solve_rect_back": "1a4765620e9a844d",
+            "solve_rect_in_place": "8f234a760944592c",
+            "mult_vector": "4fc60d7d339db30b",
+            "mult_rect": "cb1352049a538d15",
+            "xprod_mat_vec": "ef2b1aa5762751e5",
+            "xprod_self": "01d48d083f923db7",
+            "xprod_self_diag": "8aa89a23a73554a7",
+            "xprod_self_sub": "2d5769af06c9b76b",
+        },
+        6: {
+            "solve_vector_forward": "d06ad82c4b242502",
+            "solve_vector_back": "5beb16367da7f7d1",
+            "solve_rect_forward": "280219a47fff9673",
+            "solve_rect_back": "b5b31b1310e025be",
+            "solve_rect_in_place": "280219a47fff9673",
+            "mult_vector": "b4c946148f415799",
+            "mult_rect": "e2e6cb8539ddbc77",
+            "xprod_mat_vec": "42228e5f22c0b533",
+            "xprod_self": "1e0ae421690ce227",
+            "xprod_self_diag": "20f0ecd6e1c4d36f",
+            "xprod_self_sub": "b90dcdb39d99e303",
+        },
+        10: {
+            "solve_vector_forward": "2be26802529e70b7",
+            "solve_vector_back": "0633d58bd62fe7bd",
+            "solve_rect_forward": "f511aee691723741",
+            "solve_rect_back": "6040bcfb514a7d5b",
+            "solve_rect_in_place": "f511aee691723741",
+            "mult_vector": "d66bb9baadf51023",
+            "mult_rect": "a3a85f2bfcb37347",
+            "xprod_mat_vec": "9116fb0e3c366630",
+            "xprod_self": "f21c15667027fca5",
+            "xprod_self_diag": "e658c5d3bc94d51e",
+            "xprod_self_sub": "885cb7d0da87ae98",
+        },
+    }
+
+    @pytest.mark.parametrize("P", [3, 6, 10])
+    def test_schedule_bits_are_pinned_and_mailboxes_drain(self,
+                                                          cluster_factory, P):
+        cl = cluster_factory(P)
+        got = {}
+        for name, call in self._schedule_calls(cl):
+            handle = _within_deadline(call)
+            _assert_drained(cl)
+            got[name] = hashlib.sha256(
+                distla.collect(cl, handle).tobytes()).hexdigest()[:16]
+        assert got == self.BITS[P]
+
+    @pytest.mark.parametrize("P", [3, 6])
+    def test_each_rank_sends_its_partials_before_it_waits_for_one(
+            self, cluster_factory, monkeypatch, P):
+        """Per rank and per result row J (a partial's tag names its row),
+        every "ps" the rank sends goes before the first it waits for."""
+        log = {}
+        deliver, recv = InProcessCluster._deliver, WorkerContext.recv
+
+        def sent(self, src, dst, tag, payload):
+            if tag[1] == "ps":
+                log.setdefault(src, []).append(("send", tag[2]))
+            deliver(self, src, dst, tag, payload)
+
+        def received(self, src, tag, shape=None):
+            if tag[1] == "ps":
+                log.setdefault(self.rank, []).append(("recv", tag[2]))
+            return recv(self, src, tag, shape)
+        monkeypatch.setattr(InProcessCluster, "_deliver", sent)
+        monkeypatch.setattr(WorkerContext, "recv", received)
+        cl = cluster_factory(P)
+        mixed = 0  # (kernel, rank, row)s that both send and wait
+        for name, call in self._schedule_calls(cl):
+            log.clear()
+            _within_deadline(call)
+            for rank, events in log.items():
+                for J in {J for _, J in events}:
+                    row = [kind for kind, I in events if I == J]
+                    if "send" in row and "recv" in row:
+                        mixed += 1
+                        last_send = len(row) - 1 - row[::-1].index("send")
+                        assert last_send < row.index("recv"), (name, rank, J)
+        assert mixed > 0
 
 
 def test_every_registered_kernel_has_a_public_caller(cluster_factory,
