@@ -185,8 +185,8 @@ def crossprod_self(cluster, V, out_name, subtract=False):
 
     With `subtract`, out_name must already name a triangular object S on
     V's column layout, and S becomes S - V^T V in place: each result
-    block's accumulator starts from S's block and the partials are
-    subtracted in the same ascending order, with the same messages.
+    block starts from S's block, and each partial and sum is subtracted
+    where V^T V adds it, in V^T V's order and with its messages.
     """
     _check_kind(V, DistRectangular)
     _run_into(cluster, out_name, "distla.xprod", v_name=V.name,

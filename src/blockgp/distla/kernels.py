@@ -12,11 +12,11 @@ for addressing an operand: every block is 2-D and keyed (I, c), and a
 vector's (I, 1) blocks live on the diagonal workers.  Solves, multiplies
 and crossproducts share one schedule with one travel rule: each partial
 product runs where the matrix block (L or V) lives, the operand block
-travels there ("x" for a vector, "col" otherwise), and the partial travels
-to the result block's owner ("ps").  The schedule runs one stage per result
-block row; in each, every rank first sends the partials it owes to others
-(produce pass), then builds its own blocks of the row (consume pass), so
-the ranks do not wait on each other cell by cell.
+travels there ("x" for a vector, "col" otherwise), and each rank sends a
+result block's owner one sum of its partials for it ("ps").  The schedule
+runs one stage per result block row; in each, every rank first sends the
+sums it owes (produce pass), then builds its own blocks of the row
+(consume pass), so the ranks do not wait on each other cell by cell.
 
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
@@ -28,9 +28,10 @@ block with `potrf`, solves down a column with `trsm`, and updates trailing
 blocks with `syrk` (diagonal) and `gemm` (off-diagonal); given a
 right-hand side vector it forward-solves that in the same sweep (`trsm` of
 u(J) by its diagonal owner, `gemm` updates in the diagonal tasks).  In the
-shared schedule a partial for a local result block is accumulated into it
-with `gemm`, a partial for another rank is computed on its own and sent,
-and a solve finishes each result block with an in-place `trsm`.
+shared schedule one rule accumulates every partial in place, with `gemm`
+(or column sums, for diag(V^T V)): into the result block if the rank owns
+it, otherwise into the zeroed sum it sends; the owner adds the sums it
+receives, and a solve finishes each result block with an in-place `trsm`.
 """
 
 import numpy as np
@@ -295,9 +296,11 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     Result block (J, c) takes one partial per K: L(J, K) X(K, c) for K < J
     (forward) or K <= J (mult), L(K, J)^T X(K, c) for K > J (back), and
     V(K, J)^T X(K, c) for every row block K (xprod).  Each partial runs
-    where the block of M lives; the operand block X(K, c) travels there per
-    use, and the partial travels to the result's owner ("ps"), which
-    accumulates in ascending K.  A solve's operand blocks are its own solved
+    where the block of M lives, with the operand block X(K, c) sent there
+    per use, and `accumulate` adds it in place: into the result block on
+    its owner, or into the one sum ("ps") its rank sends that owner.  The
+    owner adds its partials in ascending K, then the sums in the order of
+    their senders' first K.  A solve's operand blocks are its own solved
     result blocks; a solve into its own right-hand side accumulates in B's
     block.
 
@@ -305,17 +308,18 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     "back", ascending otherwise: a solve's row reads the rows solved
     before it).  A solve's stage opens with the owner of L(J, J) sending it
     once to each other owner of a block of row J ("diag"), which holds it
-    for the row.  Then two passes over the row's triples (J, c, K):
-    - produce: each partial owed to another rank is computed and sent;
-    - consume: each rank builds its own blocks of the row in ascending K,
-      applying local partials in place and adding received ones, and
-      finishes them (a solve's trsm, V^T V's tril).
-    So no rank waits for a partial of a row before it has sent all it owes
-    for that row.  Nothing can deadlock: within a pass every rank walks the
+    for the row.  Then two passes walk the row's triples (J, c, K):
+    - produce: each rank sums its partials for each other rank's block in
+      ascending K, and sends the sum when its walk of that cell ends;
+    - consume: each rank builds and finishes its own blocks of the row (a
+      solve's trsm, V^T V's tril).
+    So no rank waits for a sum of a row before it has sent all it owes for
+    that row.  Nothing can deadlock: within a pass every rank walks the
     same triples in the same order, and a rank waits only for a message
     sent at the same triple of the same pass by a rank that only sends
-    there (an operand), or sent earlier in the stage (L(J, J), and the
-    partials of the produce pass), or in an earlier stage (a solved
+    there (an operand), or sent earlier in the stage (L(J, J), and each
+    sum, sent when its cell's walk in the produce pass ends, before any
+    rank waits in the consume pass), or in an earlier stage (a solved
     operand block).
     """
     M = ctx.fetch(m_name)
@@ -352,10 +356,8 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     transposed = op in ("back", "xprod")
     mkey = (lambda J, K: (K, J)) if transposed else (lambda J, K: (J, K))
     sign = -1.0 if solving or subtract else 1.0
-    combine = np.subtract if sign < 0 else np.add
-    # accumulator start and products of one result block, and the finish
-    # of a row's blocks: a partial for another rank is computed on its own,
-    # a local one is accumulated in place
+    # a result block's start on its owner (a sum for another rank's block
+    # starts from zero), and the one rule that adds a partial to either
     if in_place:
         start = lambda key: res.blocks[key]
     elif solving:
@@ -363,11 +365,9 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     else:
         start = lambda key: np.zeros(shape)
     if X is None:
-        product = lambda Mb, xk: np.einsum("ij,ij->j", Mb, Mb)[:, None]
-        accumulate = lambda acc, Mb, xk: combine(acc, product(Mb, xk),
-                                                 out=acc)
+        accumulate = lambda acc, Mb, xk: np.add(
+            acc, np.einsum("ij,ij->j", Mb, Mb)[:, None], out=acc)
     else:
-        product = lambda Mb, xk: (Mb.T if transposed else Mb) @ xk
         accumulate = lambda acc, Mb, xk: blas.gemm(Mb, xk, acc, sign,
                                                    trans_a=transposed)
     if solving:
@@ -406,29 +406,28 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         if solving and block_owner(J, J, grid) == me:
             for dest in sorted(owners - {me}):
                 ctx.send(dest, (out_name, "diag", J, J), M.blocks[(J, J)])
-        for c, towner in cells:  # produce
-            for K in Ks(J):
-                where = rect_block_owner(*mkey(J, K), grid)
-                if where != towner:
-                    xk = operand(K, c, where)
-                    if where == me:
-                        ctx.send(towner, (out_name, "ps", J, c),
-                                 product(M.blocks[mkey(J, K)], xk))
-        finish = row_finish(J) if me in owners else None
-        for c, towner in cells:  # consume
-            if towner == me:
-                acc = start((J, c))
-            for K in Ks(J):
-                where = rect_block_owner(*mkey(J, K), grid)
-                if where == towner:
-                    xk = operand(K, c, where)
-                    if where == me:
-                        accumulate(acc, M.blocks[mkey(J, K)], xk)
-                elif towner == me:
-                    combine(acc, ctx.recv(where, (out_name, "ps", J, c),
-                                          shape), out=acc)
-            if towner == me:
-                res.blocks[(J, c)] = finish(c, acc)
+        for owed in (True, False):  # the produce pass, then the consume pass
+            finish = row_finish(J) if me in owners and not owed else None
+            for c, towner in cells:
+                tag = (out_name, "ps", J, c)
+                acc = start((J, c)) if towner == me and not owed else None
+                senders = []  # of the sums for this block, by first K
+                for K in Ks(J):
+                    where = rect_block_owner(*mkey(J, K), grid)
+                    if (where != towner) == owed:
+                        xk = operand(K, c, where)
+                        if where == me:
+                            if acc is None:
+                                acc = np.zeros(shape)
+                            accumulate(acc, M.blocks[mkey(J, K)], xk)
+                    elif not owed and where not in senders:
+                        senders.append(where)
+                if owed and acc is not None:
+                    ctx.send(towner, tag, acc)
+                elif not owed and towner == me:
+                    for where in senders:
+                        np.add(acc, ctx.recv(where, tag, shape), out=acc)
+                    res.blocks[(J, c)] = finish(c, acc)
     ctx.store[out_name] = res
 
 

@@ -1,5 +1,7 @@
 """The in-place BLAS routines on C-ordered blocks (distla/blas.py)."""
 
+import ast
+import pathlib
 import threading
 import time
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from blockgp.distla import blas
+from blockgp.distla import blas, kernels
 
 from conftest import relerr, spd_matrix
 
@@ -241,3 +243,19 @@ def test_gemm_releases_the_gil():
     else:
         pytest.fail(f"main thread stalled (stall, call) in every try: "
                     f"{tries}")
+
+
+def test_block_products_run_only_through_blas():
+    """kernels.py multiplies no blocks with numpy (`@`, `np.matmul`,
+    `np.dot`): every block product goes through `blas`, so all of them run
+    on one BLAS library."""
+    path = pathlib.Path(kernels.__file__)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        operator = (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult))
+        function = (isinstance(node, ast.Attribute)
+                    and node.attr in ("matmul", "dot"))
+        if operator or function:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []

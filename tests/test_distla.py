@@ -1209,18 +1209,18 @@ class TestSchedules:
     TRAFFIC = {
         "cholesky": {"col": (6, 768), "diag": (3, 384)},
         "cholesky_rhs": {"col": (6, 768), "diag": (3, 384), "x": (3, 96)},
-        "solve_vector_forward": {"ps": (4, 128), "x": (4, 128)},
-        "solve_vector_back": {"ps": (4, 128), "x": (4, 128)},
+        "solve_vector_forward": {"ps": (3, 96), "x": (4, 128)},
+        "solve_vector_back": {"ps": (3, 96), "x": (4, 128)},
         "solve_rect_forward": {"col": (12, 768), "diag": (4, 512),
-                               "ps": (12, 768)},
+                               "ps": (10, 640)},
         "solve_rect_back": {"col": (12, 768), "diag": (4, 512),
-                            "ps": (12, 768)},
-        "mult_vector": {"ps": (4, 128), "x": (4, 128)},
-        "mult_rect": {"col": (20, 1280), "ps": (20, 1280)},
-        "xprod_mat_vec": {"ps": (8, 128), "x": (8, 256)},
-        "xprod_self": {"col": (16, 1024), "ps": (20, 640)},
-        "xprod_self_diag": {"ps": (8, 128)},
-        "xprod_self_sub": {"col": (16, 1024), "ps": (20, 640)},
+                            "ps": (10, 640)},
+        "mult_vector": {"ps": (3, 96), "x": (4, 128)},
+        "mult_rect": {"col": (20, 1280), "ps": (14, 896)},
+        "xprod_mat_vec": {"ps": (4, 64), "x": (8, 256)},
+        "xprod_self": {"col": (16, 1024), "ps": (10, 320)},
+        "xprod_self_diag": {"ps": (4, 64)},
+        "xprod_self_sub": {"col": (16, 1024), "ps": (10, 320)},
     }
 
     def test_per_kernel_traffic_is_pinned(self, cluster_factory, monkeypatch):
@@ -1322,47 +1322,48 @@ class TestSchedules:
         ]
 
     # sha256 (first 16 hex digits) of each `_schedule_calls` result as
-    # collected, for P = 3, 6 and 10, recorded while the schedule still
-    # walked cell by cell: the order of the walk must not change a bit
+    # collected, for P = 3, 6 and 10, recorded when each rank began to send
+    # one sum per result block: the owner adds its own partials in
+    # ascending K, then each sum in the order of its sender's first K
     BITS = {
         3: {
-            "solve_vector_forward": "dc286153b1611560",
-            "solve_vector_back": "0fb288b7166b0a21",
-            "solve_rect_forward": "8f234a760944592c",
-            "solve_rect_back": "1a4765620e9a844d",
-            "solve_rect_in_place": "8f234a760944592c",
-            "mult_vector": "4fc60d7d339db30b",
-            "mult_rect": "cb1352049a538d15",
-            "xprod_mat_vec": "ef2b1aa5762751e5",
-            "xprod_self": "01d48d083f923db7",
-            "xprod_self_diag": "8aa89a23a73554a7",
-            "xprod_self_sub": "2d5769af06c9b76b",
+            "solve_vector_forward": "a60e3cdc93b47859",
+            "solve_vector_back": "b1e955382cb1efd3",
+            "solve_rect_forward": "3d7416986018e694",
+            "solve_rect_back": "a776050deb8a41ab",
+            "solve_rect_in_place": "3d7416986018e694",
+            "mult_vector": "094aefd0c7244598",
+            "mult_rect": "e5ab7d080b45c12d",
+            "xprod_mat_vec": "d0ff7be94074c082",
+            "xprod_self": "de9cc32a7627bb40",
+            "xprod_self_diag": "b942e538676b940a",
+            "xprod_self_sub": "c37b22a7c9511df1",
         },
         6: {
-            "solve_vector_forward": "d06ad82c4b242502",
-            "solve_vector_back": "5beb16367da7f7d1",
-            "solve_rect_forward": "280219a47fff9673",
-            "solve_rect_back": "b5b31b1310e025be",
-            "solve_rect_in_place": "280219a47fff9673",
-            "mult_vector": "b4c946148f415799",
-            "mult_rect": "e2e6cb8539ddbc77",
-            "xprod_mat_vec": "42228e5f22c0b533",
-            "xprod_self": "1e0ae421690ce227",
-            "xprod_self_diag": "20f0ecd6e1c4d36f",
-            "xprod_self_sub": "b90dcdb39d99e303",
+            "solve_vector_forward": "b2a75bcaf06be83e",
+            "solve_vector_back": "64bb826c711694d9",
+            "solve_rect_forward": "0fe50890025d1703",
+            "solve_rect_back": "859a0d2e6598f421",
+            "solve_rect_in_place": "0fe50890025d1703",
+            "mult_vector": "b0e8878d65e67476",
+            "mult_rect": "c5962a68fb2fe1fc",
+            "xprod_mat_vec": "878aee8b7cdb9850",
+            "xprod_self": "dc6285adcdc441f8",
+            "xprod_self_diag": "7eb999413f139d95",
+            "xprod_self_sub": "75c60d9a3e04d80c",
         },
         10: {
-            "solve_vector_forward": "2be26802529e70b7",
-            "solve_vector_back": "0633d58bd62fe7bd",
-            "solve_rect_forward": "f511aee691723741",
-            "solve_rect_back": "6040bcfb514a7d5b",
-            "solve_rect_in_place": "f511aee691723741",
-            "mult_vector": "d66bb9baadf51023",
-            "mult_rect": "a3a85f2bfcb37347",
-            "xprod_mat_vec": "9116fb0e3c366630",
-            "xprod_self": "f21c15667027fca5",
-            "xprod_self_diag": "e658c5d3bc94d51e",
-            "xprod_self_sub": "885cb7d0da87ae98",
+            "solve_vector_forward": "48fc0dee84c98c4e",
+            "solve_vector_back": "c16b44d4c43ce654",
+            "solve_rect_forward": "f1eb069799d61bdb",
+            "solve_rect_back": "df3c61e778b02747",
+            "solve_rect_in_place": "f1eb069799d61bdb",
+            "mult_vector": "bb907828ba41114d",
+            "mult_rect": "4d8e3ca481a30b91",
+            "xprod_mat_vec": "ad16ba96c4ef866d",
+            "xprod_self": "3e97d059d3e3fb36",
+            "xprod_self_diag": "7969e328355a13c4",
+            "xprod_self_sub": "e1635ede84e84685",
         },
     }
 
@@ -1377,6 +1378,53 @@ class TestSchedules:
             got[name] = hashlib.sha256(
                 distla.collect(cl, handle).tobytes()).hexdigest()[:16]
         assert got == self.BITS[P]
+
+    @staticmethod
+    def _owed_sums(name, grid, rows, cols):
+        """(sending coordinate, J, c) of every sum a `_schedule_calls`
+        kernel owes, from grid.py alone: one for each rank that holds a
+        block of M with a partial for another rank's result block (J, c)."""
+        vector = name.startswith(("solve_vector", "mult_vector",
+                                  "xprod_mat_vec", "xprod_self_diag"))
+        B = rows.B
+        if name.startswith("xprod"):
+            out_rows, key = range(1, cols.B + 1), lambda J, K: (K, J)
+            Ks = lambda J: range(1, B + 1)
+            row_cols = lambda J: [1] if vector else range(1, J + 1)
+        else:
+            out_rows = range(1, B + 1)
+            row_cols = lambda J: [1] if vector else range(1, cols.B + 1)
+            if name.endswith("back"):
+                key, Ks = lambda J, K: (K, J), lambda J: range(J + 1, B + 1)
+            elif name.startswith("mult"):
+                key, Ks = lambda J, K: (J, K), lambda J: range(1, J + 1)
+            else:
+                key, Ks = lambda J, K: (J, K), lambda J: range(1, J)
+        owner = ((lambda J, c: vector_block_owner(J, grid)) if vector
+                 else (lambda J, c: rect_block_owner(J, c, grid)))
+        return {(rect_block_owner(*key(J, K), grid), J, c)
+                for J in out_rows for c in row_cols(J) for K in Ks(J)
+                if rect_block_owner(*key(J, K), grid) != owner(J, c)}
+
+    @pytest.mark.parametrize("P", [3, 6, 10])
+    def test_one_sum_per_sender_and_result_block(self, cluster_factory,
+                                                 monkeypatch, P):
+        sums = []
+        deliver = InProcessCluster._deliver
+
+        def sent(self, src, dst, tag, payload):
+            if tag[1] == "ps":
+                sums.append((self.grid.rank_to_coord(src), tag[2], tag[3]))
+            deliver(self, src, dst, tag, payload)
+        monkeypatch.setattr(InProcessCluster, "_deliver", sent)
+        cl = cluster_factory(P)
+        rows, cols = _layout(cl, 23, 2), _layout(cl, 11, 2)
+        for name, call in self._schedule_calls(cl):
+            sums.clear()
+            _within_deadline(call)
+            want = self._owed_sums(name, cl.grid, rows, cols)
+            assert want, name
+            assert sorted(sums) == sorted(want), name
 
     @pytest.mark.parametrize("P", [3, 6])
     def test_each_rank_sends_its_partials_before_it_waits_for_one(

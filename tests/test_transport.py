@@ -317,6 +317,7 @@ def _exercise(cl):
     W = distla.triangular_solve(cl, L, Vd, "W", side="forward")
     S = distla.crossprod_self(cl, W, "S")
     w = distla.crossprod_mat_vec(cl, W, u, "w")
+    d = distla.crossprod_self_diag(cl, W, "d")
     z = distla.construct_rnorm_distributed(cl, "z", "vector", rows)
     lz = distla.mult_chol(cl, L, z, "lz")
     # in place: a solve into its own right-hand side, and Sigma = Cp - W^T W
@@ -335,6 +336,7 @@ def _exercise(cl):
         "x": distla.collect(cl, x),
         "S": distla.collect(cl, S),
         "w": distla.collect(cl, w),
+        "d": distla.collect(cl, d),
         "lz": distla.collect(cl, lz),
         "X": distla.collect(cl, X),
         "Sigma": distla.collect(cl, Sigma),
