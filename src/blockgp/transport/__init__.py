@@ -18,9 +18,10 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
 
     P must be a triangular number D(D+1)/2 and `seed` an integer in
     [0, 2**64), the master half of every rank's Philox key.  The in-process
-    backend runs each worker on its own thread with deep-copied message
-    payloads; the socket backend spawns subprocesses connected over loopback
-    TCP, each with `blas_threads` BLAS threads when it is not None.
+    backend runs each worker on its own thread and copies every message
+    payload in C order; the socket backend (POSIX only) spawns one
+    subprocess per worker, connected to the master by its own socket pair,
+    each with `blas_threads` BLAS threads when it is not None.
     `blas_threads` must be None or an integer >= 1 on every backend; the
     in-process backend does not use it.  The two backends give bit-identical
     results only when the socket workers run as many BLAS threads as the

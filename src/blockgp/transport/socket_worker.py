@@ -1,11 +1,12 @@
 """Entry point for one socket-backend worker process.
 
-Usage: python -m blockgp.transport.socket_worker PORT RANK D SEED
+Usage: python -m blockgp.transport.socket_worker FD RANK D SEED
 
-The process serves one `WorkerCore` over its connection to the master: a
-reader thread puts each data or abort frame into the core's mailbox and
-queues each command, and the main thread runs `WorkerCore.serve` on that
-queue, writing every result back as a frame.
+FD is the worker's end of the socket pair that connects it to the master,
+inherited from the master at spawn.  The process says hello on it, then
+serves one `WorkerCore` over it: a reader thread puts each data or abort
+frame into the core's mailbox and queues each command, and the main thread
+runs `WorkerCore.serve` on that queue, writing every result back as a frame.
 """
 
 import contextlib
@@ -17,14 +18,13 @@ import traceback
 
 from ..grid import ProcessGrid
 from .base import WorkerCore
-from .wire import (decode_body, encode_control, encode_data, nodelay,
-                   read_frame)
+from .wire import decode_body, encode_control, encode_data, read_frame
 
 
 def main(argv=None):
-    port, rank, D, seed = map(int, (argv or sys.argv[1:])[:4])
+    fd, rank, D, seed = map(int, (argv or sys.argv[1:])[:4])
     grid = ProcessGrid(D)
-    sock = nodelay(socket.create_connection(("127.0.0.1", port)))
+    sock = socket.socket(fileno=fd)
     wlock = threading.Lock()
 
     def write(frame):
@@ -35,8 +35,8 @@ def main(argv=None):
                       send_fn=lambda dst, tag, payload:
                       write(encode_data(rank, dst, core.epoch, tag, payload)))
     core.abort_fn = lambda: write(encode_control(
-        {"kind": "abort", "src": rank, "epoch": core.epoch}))
-    write(encode_control({"kind": "hello", "rank": rank}))
+        {"kind": "abort", "epoch": core.epoch}))
+    write(encode_control({"kind": "hello"}))
 
     cmds = queue.SimpleQueue()
 
@@ -70,8 +70,7 @@ def main(argv=None):
     def reply(result):
         # on a dropped connection the reader queues the shutdown
         with contextlib.suppress(OSError):
-            write(encode_control({"kind": "result", "rank": rank,
-                                  "value": result}))
+            write(encode_control({"kind": "result", "value": result}))
 
     threading.Thread(target=reader, daemon=True).start()
     core.serve(cmds.get, reply)

@@ -17,7 +17,6 @@ backend-internal extension; block data never travels through them.
 """
 
 import pickle
-import socket
 import struct
 
 import numpy as np
@@ -81,17 +80,6 @@ def decode_body(body):
     off += _TAG_TAIL.size
     payload = np.frombuffer(body, dtype="<f8", offset=off)
     return ("data", src, dst, epoch, (name, PHASES[phase_idx], I, J), payload)
-
-
-def nodelay(sock):
-    """Switch off Nagle's algorithm on a connection and return it.
-
-    Collectives exchange many small frames; with Nagle on, a frame written
-    behind an unacknowledged one waits for the peer's delayed ACK (about
-    40 ms on Linux).
-    """
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
 
 
 def read_frame(sock):

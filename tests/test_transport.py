@@ -1,5 +1,8 @@
 """Worker runtime: object store, collectives, error propagation, backends."""
 
+import ast
+import pathlib
+import queue
 import socket
 import struct
 import subprocess
@@ -8,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+import blockgp
 from blockgp import distla, registry, spawn
 from blockgp.errors import (BackendUnavailable, ClusterDown, ConfigError,
                             NoSuchObject, NotTriangularNumber,
@@ -420,7 +424,7 @@ def test_socket_spawn_rejects_bad_seed_at_once():
 
 
 def _replace_rank_two(monkeypatch, *args):
-    """Start rank 2 as `python ARGS... PORT` in place of its worker, through
+    """Start rank 2 as `python ARGS... FD` in place of its worker, through
     a stand-in for `subprocess` in socketbackend; returns the list the
     started processes are appended to."""
     started = []
@@ -431,7 +435,7 @@ def _replace_rank_two(monkeypatch, *args):
 
         @staticmethod
         def Popen(cmd, **kwargs):
-            if cmd[4] == "2":  # python -m MODULE PORT RANK D SEED
+            if cmd[4] == "2":  # python -m MODULE FD RANK D SEED
                 cmd = [cmd[0], *args, cmd[3]]
             started.append(subprocess.Popen(cmd, **kwargs))
             return started[-1]
@@ -468,13 +472,109 @@ def test_socket_undecodable_frame_is_attributed(cluster_factory):
     assert exc.rank == 2
 
 
+@pytest.mark.slow
+def test_socket_spawn_times_out_on_a_silent_worker(monkeypatch):
+    monkeypatch.setattr(socketbackend, "_SPAWN_TIMEOUT", 2.0)
+    started = _replace_rank_two(monkeypatch, "-c",
+                                "import time; time.sleep(60)")
+    exc = _raised_within(10, spawn, 3, "multi-process-socket", 0, 1)
+    assert isinstance(exc, BackendUnavailable), exc
+    assert "ranks [2]" in str(exc) and "within 2 s" in str(exc)
+    assert len(started) == 3
+    assert all(proc.poll() is not None for proc in started)
+
+
+@pytest.mark.slow
+def test_socket_spawn_without_a_socket_pair_is_unavailable(monkeypatch):
+    started = _replace_rank_two(monkeypatch, "-c",
+                                "import time; time.sleep(60)")
+    pairs = []
+    real = socket.socketpair
+
+    def third_fails():
+        if len(pairs) == 2:
+            raise OSError(24, "Too many open files")
+        pairs.append(real())
+        return pairs[-1]
+    monkeypatch.setattr(socket, "socketpair", third_fails)
+    exc = _raised_within(10, spawn, 3, "multi-process-socket", 0, 1)
+    assert isinstance(exc, BackendUnavailable), exc
+    assert "Too many open files" in str(exc)
+    assert len(started) == 2
+    assert all(proc.poll() is not None for proc in started)
+    assert all(sock.fileno() == -1 for pair in pairs for sock in pair)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("frame, fault", [
+    (wire.encode_data(2, 1, 0, ("x", "x", 1, 1), np.zeros(2)),
+     "first frame is a data frame, not a hello"),
+    (_bad_version_frame(), "unsupported wire version 99"),
+], ids=["data-frame", "bad-version"])
+def test_socket_spawn_names_a_worker_whose_first_frame_is_no_hello(
+        monkeypatch, frame, fault):
+    started = _replace_rank_two(
+        monkeypatch, "-c",
+        f"import socket, sys\n"
+        f"socket.socket(fileno=int(sys.argv[1])).sendall({frame!r})")
+    exc = _raised_within(10, spawn, 3, "multi-process-socket", 0, 1)
+    assert isinstance(exc, BackendUnavailable), exc
+    assert "rank 2" in str(exc) and fault in str(exc)
+    assert all(proc.poll() is not None for proc in started)
+
+
+# Rank 2's stand-in: a hello, then every command answered with a result
+# frame that names rank 3, until the master's shutdown command.
+_ANSWERS_AS_RANK_THREE = """
+import socket, sys
+from blockgp.transport import wire
+sock = socket.socket(fileno=int(sys.argv[1]))
+sock.sendall(wire.encode_control({"kind": "hello"}))
+while (body := wire.read_frame(sock)) is not None:
+    if wire.decode_body(body)[1]["cmd"] == ("shutdown",):
+        break
+    sock.sendall(wire.encode_control(
+        {"kind": "result", "rank": 3, "value": ("ok", ["from rank 2"])}))
+"""
+
+
+@pytest.mark.slow
+def test_socket_result_is_taken_from_its_connection(monkeypatch):
+    _replace_rank_two(monkeypatch, "-c", _ANSWERS_AS_RANK_THREE)
+    cl = spawn(3, "multi-process-socket", 0, 1)
+    answers = queue.SimpleQueue()
+    threading.Thread(target=lambda: answers.put(cl.remote_ls(2)),
+                     daemon=True).start()
+    try:
+        assert answers.get(timeout=10) == ["from rank 2"]
+    finally:
+        cl.shutdown()
+
+
+def test_no_module_opens_a_listener():
+    """Workers are connected at birth by socket pairs: no module under
+    src/blockgp creates, binds, listens on, accepts or dials a connection."""
+    root = pathlib.Path(blockgp.__file__).parent
+    banned = {"create_server", "create_connection", "bind", "listen",
+              "accept"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id",
+                                                          None))
+                if name in banned:
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
 # Rank 2's stand-in: a valid hello, then a frame of wire version 99; it then
 # stays connected until the master's shutdown command.
 _UNDECODABLE_AFTER_HELLO = """
 import socket, sys
 from blockgp.transport import wire
-sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
-sock.sendall(wire.encode_control({"kind": "hello", "rank": 2}))
+sock = socket.socket(fileno=int(sys.argv[1]))
+sock.sendall(wire.encode_control({"kind": "hello"}))
 frame = bytearray(wire.encode_control({"kind": "result", "rank": 2}))
 frame[4] = 99
 sock.sendall(frame)
@@ -499,56 +599,33 @@ def test_socket_undecodable_frame_from_a_worker_is_attributed(monkeypatch):
     assert all(proc.poll() is not None for proc in started)
 
 
-def _nodelay_on(sock):
-    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
-
-
 @registry.register("test.wait_for_rank_two")
 def _wait_for_rank_two(ctx):
     return ctx.recv(2, ("x", "x", 1, 1))
 
 
 @pytest.fixture
-def lone_worker(monkeypatch):
-    """A socket worker (rank 1 of P=3) running in a thread against a listener
-    here: yields (master end, the worker's own socket); the worker must have
-    stopped 10 s after the test ends."""
-    made = []
-    create = socket.create_connection
-
-    def record(*args, **kwargs):
-        made.append(create(*args, **kwargs))
-        return made[-1]
-    monkeypatch.setattr(socket, "create_connection", record)
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        worker = threading.Thread(
-            target=socket_worker.main,
-            args=([server.getsockname()[1], 1, 2, 0],), daemon=True)
-        worker.start()
-        conn, _ = server.accept()
+def lone_worker():
+    """A socket worker (rank 1 of P=3) running in a thread on one end of a
+    socket pair: yields the master's end; the worker must have stopped 10 s
+    after the test ends."""
+    conn, child = socket.socketpair()
+    worker = threading.Thread(target=socket_worker.main,
+                              args=([child.detach(), 1, 2, 0],), daemon=True)
+    worker.start()
     conn.settimeout(10)
     with conn:
         _, hello = wire.decode_body(wire.read_frame(conn))
-        assert hello["kind"] == "hello" and len(made) == 1
-        yield conn, made[0]
+        assert hello["kind"] == "hello"
+        yield conn
     worker.join(timeout=10)
     assert not worker.is_alive(), "worker still running 10 s after the end"
-
-
-@pytest.mark.slow
-def test_socket_connections_disable_nagle(cluster_factory, lone_worker):
-    cl = cluster_factory(3, backend="multi-process-socket", blas_threads=1)
-    assert all(_nodelay_on(sock) for sock in cl._socks.values())
-    conn, worker_sock = lone_worker
-    assert _nodelay_on(worker_sock)
-    conn.sendall(wire.encode_control({"kind": "command",
-                                      "cmd": ("shutdown",)}))
 
 
 @pytest.mark.parametrize("ending", ["eof", "undecodable-frame"])
 def test_worker_leaves_a_waiting_collective_when_its_connection_ends(
         lone_worker, ending):
-    conn, _ = lone_worker
+    conn = lone_worker
     conn.sendall(wire.encode_control({
         "kind": "command",
         "cmd": ("collective", 1, "test.wait_for_rank_two", {})}))
