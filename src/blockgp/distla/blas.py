@@ -53,32 +53,57 @@ _dgemm = _resolve(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _DBL,
                   _PTR, _INT, _PTR, _INT, _DBL, _PTR, _INT)
 
 
-def _int(value):
-    return ctypes.byref(ctypes.c_int(value))
+_ONE = ctypes.c_double(1.0)  # beta: add to the output
 
 
-def _dbl(value):
-    return ctypes.byref(ctypes.c_double(value))
+class _Ints(dict):
+    """One ctypes int per value, made on first use: BLAS only reads its
+    integer arguments, so each dimension's is made once and passed by
+    reference to every later call."""
+
+    def __missing__(self, value):
+        self[value] = made = ctypes.c_int(value)
+        return made
+
+
+_INTS = _Ints()
+
+
+def _matrix(a, writable=False):
+    """a's data pointer if a is a C-contiguous, aligned float64 matrix (and
+    writable, with `writable`), else None.  The pointer is read once: from
+    the buffer of a writable array, the cheapest read, else from the array
+    interface."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == _F8):
+        return None
+    flags = a.flags
+    if not (flags.c_contiguous and flags.aligned) or (
+            writable and not flags.writeable):
+        return None
+    if flags.writeable and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.__array_interface__["data"][0]
 
 
 def _operand(a, what):
-    """a as a C-contiguous, aligned float64 matrix, copied only if needed."""
-    if not (isinstance(a, np.ndarray) and a.dtype == _F8
-            and a.flags.c_contiguous and a.flags.aligned):
+    """(a as a C-contiguous, aligned float64 matrix, copied only if needed,
+    its data pointer)."""
+    ptr = _matrix(a)
+    if ptr is None:
         a = np.array(a, dtype=_F8, order="C")  # a fresh array is aligned
-    if a.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got {a.ndim}-D")
-    return a
+        if a.ndim != 2:
+            raise ValueError(f"{what} must be 2-D, got {a.ndim}-D")
+        ptr = _matrix(a)
+    return a, ptr
 
 
 def _output(a, what):
-    """a, checked to be a matrix writable in place."""
-    if not (isinstance(a, np.ndarray) and a.dtype == _F8 and a.ndim == 2
-            and a.flags.c_contiguous and a.flags.aligned
-            and a.flags.writeable):
+    """The data pointer of a, checked to be a matrix writable in place."""
+    ptr = _matrix(a, writable=True)
+    if ptr is None:
         raise ValueError(f"{what} must be a 2-D C-contiguous, aligned, "
                          f"writable float64 array")
-    return a
+    return ptr
 
 
 def _check_shape(a, shape, what):
@@ -88,18 +113,18 @@ def _check_shape(a, shape, what):
 
 def _ld(a):
     """Fortran leading dimension of a C-ordered matrix: its row length."""
-    return _int(max(1, a.shape[1]))
+    return _INTS[max(1, a.shape[1])]
 
 
 def potrf(a):
     """Cholesky factor in place: a's lower triangle becomes L with
     a = L L^T; the strict upper triangle is neither read nor written.
     Raises np.linalg.LinAlgError if a leading minor is not positive."""
-    a = _output(a, "the factored block")
+    ptr = _output(a, "the factored block")
     n = a.shape[0]
     _check_shape(a, (n, n), "the factored block")
     info = ctypes.c_int(0)
-    _dpotrf(b"U", _int(n), a.ctypes.data, _ld(a), ctypes.byref(info))
+    _dpotrf(b"U", _INTS[n], ptr, _ld(a), info)
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"leading minor {info.value} is not positive definite")
@@ -111,36 +136,37 @@ def trsm(l, b, right=False, trans=False):
     """b := op(l)^-1 b, or b op(l)^-1 with `right`, in place; l is lower
     triangular with a non-unit diagonal and op(l) is l, or l^T with
     `trans`."""
-    l = _operand(l, "the triangular factor")
-    b = _output(b, "the right-hand side")
+    l, lptr = _operand(l, "the triangular factor")
+    bptr = _output(b, "the right-hand side")
     n = l.shape[0]
     _check_shape(l, (n, n), "the triangular factor")
     _check_shape(b, (b.shape[0], n) if right else (n, b.shape[1]),
                  "the right-hand side")
     # Fortran sees b^T and l^T: the side flips, the transpose flag stays
     _dtrsm(b"L" if right else b"R", b"U", b"T" if trans else b"N", b"N",
-           _int(b.shape[1]), _int(b.shape[0]), _dbl(1.0), l.ctypes.data,
-           _ld(l), b.ctypes.data, _ld(b))
+           _INTS[b.shape[1]], _INTS[b.shape[0]], _ONE, lptr,
+           _ld(l), bptr, _ld(b))
 
 
-def syrk(w, c):
-    """tril(c) -= w w^T in place; c's strict upper triangle is neither read
-    nor written."""
-    w = _operand(w, "the update factor")
-    c = _output(c, "the updated block")
-    n, k = w.shape
+def syrk(w, c, alpha=-1.0, trans=False):
+    """tril(c) += alpha op(w) op(w)^T in place, where op(w) is w, or w^T
+    with `trans`; c's strict upper triangle is neither read nor written."""
+    w, wptr = _operand(w, "the update factor")
+    cptr = _output(c, "the updated block")
+    k, n = w.shape if trans else w.shape[::-1]
     _check_shape(c, (n, n), "the updated block")
-    # Fortran sees w^T (k x n): c^T's upper triangle -= (w^T)^T w^T
-    _dsyrk(b"U", b"T", _int(n), _int(k), _dbl(-1.0), w.ctypes.data, _ld(w),
-           _dbl(1.0), c.ctypes.data, _ld(c))
+    # Fortran sees w^T and c^T, whose upper triangle is tril(c): it takes
+    # (w^T)^T w^T = w w^T, or w^T (w^T)^T = w^T w with `trans`
+    _dsyrk(b"U", b"N" if trans else b"T", _INTS[n], _INTS[k],
+           ctypes.c_double(alpha), wptr, _ld(w), _ONE, cptr, _ld(c))
 
 
 def gemm(a, b, c, alpha, trans_a=False, trans_b=False):
     """c += alpha op(a) op(b) in place, where op(x) is x, or x^T with the
     matching `trans_*`."""
-    a = _operand(a, "the left factor")
-    b = _operand(b, "the right factor")
-    c = _output(c, "the accumulator")
+    a, aptr = _operand(a, "the left factor")
+    b, bptr = _operand(b, "the right factor")
+    cptr = _output(c, "the accumulator")
     m, k = a.shape[::-1] if trans_a else a.shape
     kb, n = b.shape[::-1] if trans_b else b.shape
     if kb != k:
@@ -148,6 +174,7 @@ def gemm(a, b, c, alpha, trans_a=False, trans_b=False):
     _check_shape(c, (m, n), "the accumulator")
     # Fortran sees c^T += alpha op(b)^T op(a)^T: the operands swap, the
     # transpose flags stay
-    _dgemm(b"T" if trans_b else b"N", b"T" if trans_a else b"N", _int(n),
-           _int(m), _int(k), _dbl(alpha), b.ctypes.data, _ld(b),
-           a.ctypes.data, _ld(a), _dbl(1.0), c.ctypes.data, _ld(c))
+    _dgemm(b"T" if trans_b else b"N", b"T" if trans_a else b"N",
+           _INTS[n], _INTS[m], _INTS[k],
+           ctypes.c_double(alpha), bptr, _ld(b), aptr, _ld(a), _ONE, cptr,
+           _ld(c))

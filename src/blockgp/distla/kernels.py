@@ -20,7 +20,10 @@ sums it owes (produce pass), then builds its own blocks of the row
 
 A kernel whose output name is also its input's (Cholesky, solves, the
 subtracting crossproduct) overwrites that input block by block instead of
-keeping a second copy.
+keeping a second copy; a new result is one allocation (`new_blocks`), and
+no kernel replaces a block of an object with a new array.  A block a kernel
+sends is final for the rest of the collective: the sender never writes it
+again, and the receiver only reads it.
 
 Block arithmetic runs in place through `blas`, on the C-ordered blocks as
 they are and without the interpreter lock: the sweep factors a diagonal
@@ -29,9 +32,10 @@ blocks with `syrk` (diagonal) and `gemm` (off-diagonal); given a
 right-hand side vector it forward-solves that in the same sweep (`trsm` of
 u(J) by its diagonal owner, `gemm` updates in the diagonal tasks).  In the
 shared schedule one rule accumulates every partial in place, with `gemm`
-(or column sums, for diag(V^T V)): into the result block if the rank owns
-it, otherwise into the zeroed sum it sends; the owner adds the sums it
-receives, and a solve finishes each result block with an in-place `trsm`.
+(`syrk` into a diagonal block of V^T V, column sums for diag(V^T V)): into
+the result block if the rank owns it, otherwise into the zeroed sum it
+sends; the owner adds the sums it receives, and a solve finishes each
+result block with an in-place `trsm`.
 """
 
 import numpy as np
@@ -41,7 +45,8 @@ from ..errors import (DimensionMismatch, GeneratorError, NotPositiveDefinite,
                       SingularDiagonal)
 from ..grid import block_owner, rect_block_owner, residue, vector_block_owner
 from . import blas
-from .objects import UNIT, LocalPiece, fill_block, owned_blocks
+from .objects import (UNIT, LocalPiece, fill_block, new_blocks,
+                      owned_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +64,14 @@ def _generate(ctx, gen, shape, *args):
 
 
 def _store_owned(ctx, name, kind, row_layout, col_layout, values):
-    """Store fill_block(values(key, block shape)) for each owned block."""
+    """Store the owned blocks, views of one allocation, each written once by
+    fill_block from values(key, block shape)."""
     cl = UNIT if kind == "vector" else (col_layout or row_layout)
     shape = (row_layout.block_size, cl.block_size)
-    blocks = {key: fill_block(kind, key, values(key, shape), row_layout, cl)
-              for key in owned_blocks(kind, ctx.coord, ctx.grid, row_layout,
-                                      cl)}
+    blocks = new_blocks(owned_blocks(kind, ctx.coord, ctx.grid, row_layout,
+                                     cl), shape, empty=True)
+    for key, block in blocks.items():
+        fill_block(kind, key, values(key, shape), row_layout, cl, out=block)
     ctx.store[name] = LocalPiece(kind, row_layout, cl, blocks)
 
 
@@ -311,8 +318,8 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     for the row.  Then two passes walk the row's triples (J, c, K):
     - produce: each rank sums its partials for each other rank's block in
       ascending K, and sends the sum when its walk of that cell ends;
-    - consume: each rank builds and finishes its own blocks of the row (a
-      solve's trsm, V^T V's tril).
+    - consume: each rank builds its own blocks of the row, in the blocks of
+      the result, and a solve finishes each with a trsm.
     So no rank waits for a sum of a row before it has sent all it owes for
     that row.  Nothing can deadlock: within a pass every rank walks the
     same triples in the same order, and a rank waits only for a message
@@ -350,26 +357,29 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
         rows = range(B, 0, -1) if op == "back" else range(1, B + 1)
         row_cols = lambda J: range(1, X.col_layout.B + 1)
     res_owner, shape, _ = _operand(res, grid)
+    if not in_place:  # a new result is one allocation; a solve's starts as B
+        res.blocks = new_blocks(owned_blocks(res.kind, me, grid,
+                                             res.row_layout, res.col_layout),
+                                shape)
+        if solving:
+            for key, block in res.blocks.items():
+                block[...] = X.blocks[key]
     if X is not None:
         x_owner, x_shape, phase = _operand(X, grid)
         xs = res.blocks if solving else X.blocks  # what the partials multiply
     transposed = op in ("back", "xprod")
     mkey = (lambda J, K: (K, J)) if transposed else (lambda J, K: (J, K))
     sign = -1.0 if solving or subtract else 1.0
-    # a result block's start on its owner (a sum for another rank's block
-    # starts from zero), and the one rule that adds a partial to either
-    if in_place:
-        start = lambda key: res.blocks[key]
-    elif solving:
-        start = lambda key: X.blocks[key].copy()
-    else:
-        start = lambda key: np.zeros(shape)
-    if X is None:
-        accumulate = lambda acc, Mb, xk: np.add(
-            acc, np.einsum("ij,ij->j", Mb, Mb)[:, None], out=acc)
-    else:
-        accumulate = lambda acc, Mb, xk: blas.gemm(Mb, xk, acc, sign,
-                                                   trans_a=transposed)
+
+    def accumulate(acc, J, c, Mb, xk):
+        """The one rule that adds a partial for result block (J, c) to acc:
+        a result block on its owner, or a sum for another rank's block."""
+        if X is None:
+            np.add(acc, np.einsum("ij,ij->j", Mb, Mb)[:, None], out=acc)
+        elif square and J == c:  # V^T V's diagonal blocks stay lower
+            blas.syrk(Mb, acc, sign, trans=True)
+        else:
+            blas.gemm(Mb, xk, acc, sign, trans_a=transposed)
     if solving:
         bs = M.row_layout.block_size
 
@@ -380,14 +390,9 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                    ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
             if np.any(np.diag(Ljj) == 0.0):
                 raise SingularDiagonal(f"zero diagonal in block {J}")
-
-            def finish(c, acc):
-                blas.trsm(Ljj, acc, trans=op == "back")
-                return acc
-            return finish
-    else:  # V^T V keeps its diagonal blocks lower triangular
-        row_finish = lambda J: (lambda c, acc: np.tril(acc)
-                                if square and J == c else acc)
+            return lambda acc: blas.trsm(Ljj, acc, trans=op == "back")
+    else:  # a product's block is done when its partials are in
+        row_finish = lambda J: (lambda acc: None)
 
     def operand(K, c, where):
         """X(K, c) on the rank `where` (None elsewhere, or without X); its
@@ -410,7 +415,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
             finish = row_finish(J) if me in owners and not owed else None
             for c, towner in cells:
                 tag = (out_name, "ps", J, c)
-                acc = start((J, c)) if towner == me and not owed else None
+                acc = res.blocks[(J, c)] if towner == me and not owed else None
                 senders = []  # of the sums for this block, by first K
                 for K in Ks(J):
                     where = rect_block_owner(*mkey(J, K), grid)
@@ -419,7 +424,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                         if where == me:
                             if acc is None:
                                 acc = np.zeros(shape)
-                            accumulate(acc, M.blocks[mkey(J, K)], xk)
+                            accumulate(acc, J, c, M.blocks[mkey(J, K)], xk)
                     elif not owed and where not in senders:
                         senders.append(where)
                 if owed and acc is not None:
@@ -427,7 +432,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                 elif not owed and towner == me:
                     for where in senders:
                         np.add(acc, ctx.recv(where, tag, shape), out=acc)
-                    res.blocks[(J, c)] = finish(c, acc)
+                    finish(acc)
     ctx.store[out_name] = res
 
 

@@ -12,6 +12,13 @@ entries are zero, except that a triangular diagonal block keeps its strict
 upper triangle at zero and has ones on its padded diagonal.  The kernels
 preserve that pattern, so padding never contaminates factorizations, solves
 or products, and `assemble` only has to drop it.
+
+An object a kernel builds on a worker (construct, rnorm, a new result) is
+one allocation: `new_blocks` makes its owned blocks as the views slab[k] of
+one (blocks, rows, cols) array, and `fill_block` writes a generated or
+random block straight into its view.  Kernels update such an object in
+place and never replace one of its blocks with a new array, which would
+keep the whole allocation alive beside it.
 """
 
 from dataclasses import dataclass
@@ -63,8 +70,17 @@ def owned_blocks(kind, coord, grid, row_layout, col_layout):
     return [(I, 1) for I in vector_blocks(coord, row_layout, grid)]
 
 
-def fill_block(kind, key, values, rows, cols):
-    """A zero block of key's shape with the live part of `values` written in.
+def new_blocks(keys, shape, empty=False):
+    """{key: block} of the given block shape for each of `keys`, each block
+    the C-contiguous view slab[k] of one (len(keys), *shape) array, zeroed
+    unless `empty`."""
+    slab = (np.empty if empty else np.zeros)((len(keys), *shape))
+    return dict(zip(keys, slab))
+
+
+def fill_block(kind, key, values, rows, cols, out=None):
+    """Block key of a `kind` object with the live part of `values` written
+    in: written into `out` if given, else into a new array.
 
     `values` is the block's live part or a whole padded block.  A triangular
     diagonal block keeps only its lower triangle and gets ones on its padded
@@ -73,10 +89,19 @@ def fill_block(kind, key, values, rows, cols):
     I, J = key
     r, c = rows.live(I), cols.live(J)
     kr, kc = r.stop - r.start, c.stop - c.start
-    block = np.zeros((rows.block_size, cols.block_size))
-    block[:kr, :kc] = values[:kr, :kc]
-    if kind == "triangular" and I == J:
-        block = np.tril(block)
+    block = (np.empty((rows.block_size, cols.block_size)) if out is None
+             else out)
+    live, values = block[:kr, :kc], values[:kr, :kc]
+    diagonal = kind == "triangular" and I == J
+    if diagonal:
+        lower = np.tri(kr, kc, dtype=bool)
+        np.copyto(live, values, where=lower)
+        np.copyto(live, 0.0, where=~lower)
+    else:
+        live[...] = values
+    block[:kr, kc:] = 0.0
+    block[kr:] = 0.0
+    if diagonal:
         pad = np.arange(kr, rows.block_size)
         block[pad, pad] = 1.0
     return block

@@ -31,11 +31,11 @@ def _matern_in_place(s, rho, nu):
     if nu not in HALF_INTEGER_NU:
         raise UnsupportedSmoothness(
             f"nu={nu} not supported; use one of {HALF_INTEGER_NU}")
+    if nu == 0.5:  # sqrt(2 nu) = 1, and s / -rho is -(s / rho) exactly
+        np.divide(s, -rho, out=s)
+        return np.exp(s, out=s)
     np.multiply(s, np.sqrt(2.0 * nu), out=s)
     np.divide(s, rho, out=s)
-    if nu == 0.5:
-        np.negative(s, out=s)
-        return np.exp(s, out=s)
     e = np.negative(s, out=np.empty_like(s))
     np.exp(e, out=e)
     if nu == 2.5:

@@ -18,8 +18,9 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
 
     P must be a triangular number D(D+1)/2 and `seed` an integer in
     [0, 2**64), the master half of every rank's Philox key.  The in-process
-    backend runs each worker on its own thread and copies every message
-    payload in C order; the socket backend (POSIX only) spawns one
+    backend runs each worker on its own thread and hands each sent block to
+    its receiver as a read-only view (any other payload as a C-ordered
+    copy); the socket backend (POSIX only) spawns one
     subprocess per worker, connected to the master by its own socket pair,
     each with `blas_threads` BLAS threads when it is not None.
     `blas_threads` must be None or an integer >= 1 on every backend; the

@@ -110,7 +110,9 @@ class WorkerContext:
         return self.grid.coord_to_rank(*coord)
 
     def send(self, dst, tag, payload):
-        """Send to a rank or coordinate; the payload is copied, never shared."""
+        """Send to a rank or coordinate.  A block sent is final for the rest
+        of the collective: the sender must not write it again, since an
+        in-process receiver may get it without a copy (read-only)."""
         if isinstance(dst, tuple):
             dst = self.rank_of(dst)
         self._send(dst, tag, payload)

@@ -1,10 +1,13 @@
 """In-process backend: one thread per worker, queue-based mailboxes.
 
 This is the reference backend used by the test suite.  Each thread serves
-one `WorkerCore` from its own command queue.  Workers share nothing: every
-payload is copied on send, in C order like the wire's, so the only
-communication channel is the tagged message queues, exactly as with a real
-distributed deployment.
+one `WorkerCore` from its own command queue, and the tagged message queues
+are the only channel between workers, as with a real distributed
+deployment.  A block a worker sends is final for the rest of its
+collective, so the receiver gets a read-only view of it instead of a copy;
+any other payload is copied in C order, like the wire's.  No store ever
+holds another worker's memory: a kernel reads what it receives and writes
+only its own blocks.
 """
 
 import queue
@@ -35,11 +38,18 @@ class InProcessCluster(Cluster):
             t.start()
 
     def _deliver(self, src, dst, tag, payload):
-        """Hand dst a C-ordered copy, as the wire delivers it: a block's
-        memory order steers BLAS, so an F-ordered copy would round
+        """Hand dst a read-only view of a C-contiguous, aligned float64
+        payload, which is final for the rest of its collective, and a
+        C-ordered copy of any other, as the wire delivers it: a block's
+        memory order steers BLAS, so an F-ordered one would round
         differently from the socket backend."""
-        self._workers[dst].mailbox.put(src, tag, np.array(payload, order="C"),
-                                       self.epoch)
+        if (isinstance(payload, np.ndarray) and payload.dtype == np.float64
+                and payload.flags.c_contiguous and payload.flags.aligned):
+            payload = payload.view()
+            payload.flags.writeable = False
+        else:
+            payload = np.array(payload, order="C")
+        self._workers[dst].mailbox.put(src, tag, payload, self.epoch)
 
     def _abort_from(self, src):
         for rank, core in self._workers.items():

@@ -93,6 +93,18 @@ class TestAgainstNumpy:
         np.testing.assert_array_equal(np.triu(got, 1), np.triu(c, 1))
 
     @pytest.mark.parametrize("bs", SIZES)
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_syrk_transposed(self, bs, alpha):
+        # a diagonal block of V^T V: tril(c) += alpha w^T w
+        rng = np.random.default_rng(14)
+        c = rng.standard_normal((bs, bs))
+        w = rng.standard_normal((bs + 3, bs))
+        got = c.copy()
+        blas.syrk(w, got, alpha, trans=True)
+        assert relerr(np.tril(got), np.tril(c + alpha * (w.T @ w))) < RTOL
+        np.testing.assert_array_equal(np.triu(got, 1), np.triu(c, 1))
+
+    @pytest.mark.parametrize("bs", SIZES)
     @pytest.mark.parametrize("trans_a", [False, True])
     @pytest.mark.parametrize("trans_b", [False, True])
     def test_gemm(self, bs, trans_a, trans_b):

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import threading
 
 import numpy as np
@@ -1458,6 +1459,154 @@ class TestSchedules:
                         last_send = len(row) - 1 - row[::-1].index("send")
                         assert last_send < row.index("recv"), (name, rank, J)
         assert mixed > 0
+
+
+def _store_arrays(cl, rank):
+    """Every block of every distributed piece in one rank's store."""
+    return [block for piece in cl._workers[rank].ctx.store.values()
+            if isinstance(piece, distla.LocalPiece)
+            for block in piece.blocks.values()]
+
+
+def _assert_stores_disjoint(cl):
+    """No block in one rank's store shares memory with another rank's."""
+    stores = {rank: _store_arrays(cl, rank) for rank in cl._workers}
+    for r1, r2 in itertools.combinations(stores, 2):
+        for a in stores[r1]:
+            for b in stores[r2]:
+                assert not np.shares_memory(a, b), (r1, r2)
+
+
+def _sharing_kernels(cl):
+    """(name, call) of the Cholesky, with and without a right-hand side, and
+    of every kernel of the shared schedule."""
+    rows = _layout(cl, 23, 2)
+
+    def cholesky(rhs):
+        C = distla.distribute(cl, "F", spd_matrix(23, seed=22), "triangular",
+                              rows)
+        u = (distla.distribute(cl, "u", np.arange(23.0), "vector", rows)
+             if rhs else None)
+        return distla.distributed_cholesky(cl, C, "F", rhs=u)[0]
+    return ([("cholesky", lambda: cholesky(False)),
+             ("cholesky_rhs", lambda: cholesky(True))]
+            + TestSchedules._schedule_calls(cl))
+
+
+class TestSharedSends:
+    """In-process sends hand the receiver the sender's block, read-only: a
+    sent block is final for the rest of its collective."""
+
+    @staticmethod
+    def _recording_sends(monkeypatch):
+        """Record (payload, sha256) of every in-process send from now on."""
+        sent = []
+        deliver = InProcessCluster._deliver
+
+        def recorded(self, src, dst, tag, payload):
+            sent.append((src, tag, payload,
+                         hashlib.sha256(payload.tobytes()).hexdigest()))
+            deliver(self, src, dst, tag, payload)
+        monkeypatch.setattr(InProcessCluster, "_deliver", recorded)
+        return sent
+
+    @pytest.mark.parametrize("P", [3, 6])
+    def test_no_sender_changes_a_block_it_sent(self, cluster_factory,
+                                               monkeypatch, P):
+        sent = self._recording_sends(monkeypatch)
+        cl = cluster_factory(P)
+        for name, call in _sharing_kernels(cl):
+            sent.clear()
+            _within_deadline(call)
+            _assert_drained(cl)
+            assert sent, name
+            for src, tag, payload, digest in sent:
+                now = hashlib.sha256(payload.tobytes()).hexdigest()
+                assert now == digest, (name, src, tag)
+            _assert_stores_disjoint(cl)
+
+    def test_received_blocks_are_shared_and_read_only(self, cluster_factory,
+                                                      monkeypatch):
+        sent = self._recording_sends(monkeypatch)
+        received, recv = [], WorkerContext.recv
+
+        def recorded(self, src, tag, shape=None):
+            payload = recv(self, src, tag, shape)
+            received.append(payload)
+            return payload
+        monkeypatch.setattr(WorkerContext, "recv", recorded)
+        cl = cluster_factory(3)
+        for name, call in _sharing_kernels(cl):
+            _within_deadline(call)
+        assert received and len(received) == len(sent)
+        senders_blocks = [payload for _, _, payload, _ in sent]
+        for payload in received:
+            assert not payload.flags.writeable
+            assert any(np.shares_memory(payload, block)
+                       for block in senders_blocks)
+            with pytest.raises(ValueError, match="read-only"):
+                payload[0, 0] = 0.0
+
+    def test_other_payloads_are_copied_in_c_order(self, cluster_factory):
+        cl = cluster_factory(3)
+        block = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        cl._deliver(1, 2, ("t", "col", 1, 1), block)
+        got = cl._workers[2].mailbox.get(1, ("t", "col", 1, 1))
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, block)
+        np.testing.assert_array_equal(got, block)
+
+
+@registry.register("test.spd")
+def _spd(params, inputs, i, j):
+    """An exponential covariance of the points 1..n plus the identity."""
+    return (np.exp(-np.abs(np.subtract.outer(i, j)) / 5.0)
+            + np.equal.outer(i, j))
+
+
+class TestOneAllocation:
+    """Every owned block of an object that a kernel builds on a worker is a
+    view of one array, and stays one through every in-place update."""
+
+    @staticmethod
+    def _assert_one_allocation(cl, name):
+        for rank, w in cl._workers.items():
+            blocks = list(w.ctx.store[name].blocks.values())
+            slabs = {id(block.base) for block in blocks}
+            assert len(slabs) <= 1, (name, rank)
+            for block in blocks:
+                assert block.base is not None, (name, rank)
+                assert block.base.ndim == 3, (name, rank)
+                assert block.base.shape[0] == len(blocks), (name, rank)
+                assert block.flags.c_contiguous, (name, rank)
+
+    @pytest.mark.parametrize("P", [1, 3, 6])
+    def test_blocks_stay_views_of_one_array(self, cluster_factory, P):
+        cl = cluster_factory(P)
+        rows, cols = _layout(cl, 23, 2), _layout(cl, 11, 2)
+        check = lambda handle: self._assert_one_allocation(cl, handle.name)
+        construct = (lambda name, kind, gen, r, c=None:
+                     distla.construct_distributed(cl, name, kind, gen, [],
+                                                  row_layout=r, col_layout=c))
+        C = construct("L", "triangular", "test.spd", rows)
+        check(C)
+        L, _ = distla.distributed_cholesky(cl, C, "L")
+        check(L)
+        V = construct("V", "rectangular", "test.full_block", rows, cols)
+        check(V)
+        V = distla.triangular_solve(cl, L, V, "V")
+        check(V)
+        S = construct("S", "triangular", "test.spd", cols)
+        check(S)
+        check(distla.crossprod_self(cl, V, "S", subtract=True))
+        check(distla.crossprod_self(cl, V, "T"))
+        check(construct("d", "vector", "test.spd", cols))
+        Z = distla.construct_rnorm_distributed(cl, "Z", "rectangular", rows,
+                                               cols)
+        check(Z)
+        check(distla.construct_rnorm_distributed(cl, "z", "vector", rows))
+        check(distla.mult_chol(cl, L, Z, "Z"))
+        check(distla.triangular_solve(cl, L, Z, "X", side="back"))
 
 
 def test_every_registered_kernel_has_a_public_caller(cluster_factory,
