@@ -56,32 +56,18 @@ _dgemm = _resolve(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _DBL,
 _ONE = ctypes.c_double(1.0)  # beta: add to the output
 
 
-class _Ints(dict):
-    """One ctypes int per value, made on first use: BLAS only reads its
-    integer arguments, so each dimension's is made once and passed by
-    reference to every later call."""
-
-    def __missing__(self, value):
-        self[value] = made = ctypes.c_int(value)
-        return made
-
-
-_INTS = _Ints()
+_int = ctypes.c_int  # a dimension, passed by reference as the argtype says
 
 
 def _matrix(a, writable=False):
     """a's data pointer if a is a C-contiguous, aligned float64 matrix (and
-    writable, with `writable`), else None.  The pointer is read once: from
-    the buffer of a writable array, the cheapest read, else from the array
-    interface."""
+    writable, with `writable`), else None."""
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == _F8):
         return None
     flags = a.flags
     if not (flags.c_contiguous and flags.aligned) or (
             writable and not flags.writeable):
         return None
-    if flags.writeable and a.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.__array_interface__["data"][0]
 
 
@@ -113,7 +99,7 @@ def _check_shape(a, shape, what):
 
 def _ld(a):
     """Fortran leading dimension of a C-ordered matrix: its row length."""
-    return _INTS[max(1, a.shape[1])]
+    return _int(max(1, a.shape[1]))
 
 
 def potrf(a):
@@ -124,7 +110,7 @@ def potrf(a):
     n = a.shape[0]
     _check_shape(a, (n, n), "the factored block")
     info = ctypes.c_int(0)
-    _dpotrf(b"U", _INTS[n], ptr, _ld(a), info)
+    _dpotrf(b"U", _int(n), ptr, _ld(a), info)
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"leading minor {info.value} is not positive definite")
@@ -144,7 +130,7 @@ def trsm(l, b, right=False, trans=False):
                  "the right-hand side")
     # Fortran sees b^T and l^T: the side flips, the transpose flag stays
     _dtrsm(b"L" if right else b"R", b"U", b"T" if trans else b"N", b"N",
-           _INTS[b.shape[1]], _INTS[b.shape[0]], _ONE, lptr,
+           _int(b.shape[1]), _int(b.shape[0]), _ONE, lptr,
            _ld(l), bptr, _ld(b))
 
 
@@ -157,7 +143,7 @@ def syrk(w, c, alpha=-1.0, trans=False):
     _check_shape(c, (n, n), "the updated block")
     # Fortran sees w^T and c^T, whose upper triangle is tril(c): it takes
     # (w^T)^T w^T = w w^T, or w^T (w^T)^T = w^T w with `trans`
-    _dsyrk(b"U", b"N" if trans else b"T", _INTS[n], _INTS[k],
+    _dsyrk(b"U", b"N" if trans else b"T", _int(n), _int(k),
            ctypes.c_double(alpha), wptr, _ld(w), _ONE, cptr, _ld(c))
 
 
@@ -175,6 +161,6 @@ def gemm(a, b, c, alpha, trans_a=False, trans_b=False):
     # Fortran sees c^T += alpha op(b)^T op(a)^T: the operands swap, the
     # transpose flags stay
     _dgemm(b"T" if trans_b else b"N", b"T" if trans_a else b"N",
-           _INTS[n], _INTS[m], _INTS[k],
+           _int(n), _int(m), _int(k),
            ctypes.c_double(alpha), bptr, _ld(b), aptr, _ld(a), _ONE, cptr,
            _ld(c))

@@ -71,7 +71,7 @@ def _store_owned(ctx, name, kind, row_layout, col_layout, values):
     blocks = new_blocks(owned_blocks(kind, ctx.coord, ctx.grid, row_layout,
                                      cl), shape, empty=True)
     for key, block in blocks.items():
-        fill_block(kind, key, values(key, shape), row_layout, cl, out=block)
+        fill_block(kind, key, values(key, shape), row_layout, cl, block)
     ctx.store[name] = LocalPiece(kind, row_layout, cl, blocks)
 
 

@@ -13,12 +13,13 @@ upper triangle at zero and has ones on its padded diagonal.  The kernels
 preserve that pattern, so padding never contaminates factorizations, solves
 or products, and `assemble` only has to drop it.
 
-An object a kernel builds on a worker (construct, rnorm, a new result) is
-one allocation: `new_blocks` makes its owned blocks as the views slab[k] of
-one (blocks, rows, cols) array, and `fill_block` writes a generated or
-random block straight into its view.  Kernels update such an object in
-place and never replace one of its blocks with a new array, which would
-keep the whole allocation alive beside it.
+A rank's owned blocks of an object are one allocation: `new_blocks` makes
+them as the views slab[k] of one (blocks, rows, cols) array, and
+`fill_block` writes each straight into its view.  Construct, rnorm,
+`split_array` and every new kernel result build their blocks this way (a
+split sent to a socket worker is unpickled block by block).  Kernels update
+an object in place and never replace one of its blocks with a new array,
+which would keep the whole allocation alive beside it.
 """
 
 from dataclasses import dataclass
@@ -78,9 +79,9 @@ def new_blocks(keys, shape, empty=False):
     return dict(zip(keys, slab))
 
 
-def fill_block(kind, key, values, rows, cols, out=None):
-    """Block key of a `kind` object with the live part of `values` written
-    in: written into `out` if given, else into a new array.
+def fill_block(kind, key, values, rows, cols, block):
+    """Write block key of a `kind` object into `block`: the live part of
+    `values` and the padding.
 
     `values` is the block's live part or a whole padded block.  A triangular
     diagonal block keeps only its lower triangle and gets ones on its padded
@@ -89,8 +90,6 @@ def fill_block(kind, key, values, rows, cols, out=None):
     I, J = key
     r, c = rows.live(I), cols.live(J)
     kr, kc = r.stop - r.start, c.stop - c.start
-    block = (np.empty((rows.block_size, cols.block_size)) if out is None
-             else out)
     live, values = block[:kr, :kc], values[:kr, :kc]
     diagonal = kind == "triangular" and I == J
     if diagonal:
@@ -104,19 +103,22 @@ def fill_block(kind, key, values, rows, cols, out=None):
     if diagonal:
         pad = np.arange(kr, rows.block_size)
         block[pad, pad] = 1.0
-    return block
 
 
 def split_array(kind, array, grid, row_layout, col_layout):
     """Owned blocks of a master-side dense 2-D array for every coordinate
-    of the grid, {coord: blocks}."""
-    return {coord: {(I, J): fill_block(kind, (I, J),
-                                       array[row_layout.live(I),
-                                             col_layout.live(J)],
-                                       row_layout, col_layout)
-                    for I, J in owned_blocks(kind, coord, grid, row_layout,
-                                             col_layout)}
-            for coord in grid.coords()}
+    of the grid, {coord: blocks}, each coordinate's blocks views of one
+    allocation."""
+    shape = (row_layout.block_size, col_layout.block_size)
+    split = {}
+    for coord in grid.coords():
+        split[coord] = new_blocks(owned_blocks(kind, coord, grid, row_layout,
+                                               col_layout), shape, empty=True)
+        for (I, J), block in split[coord].items():
+            fill_block(kind, (I, J), array[row_layout.live(I),
+                                           col_layout.live(J)],
+                       row_layout, col_layout, block)
+    return split
 
 
 def assemble(pieces, row_layout, col_layout):

@@ -5,9 +5,9 @@ one `WorkerCore` from its own command queue, and the tagged message queues
 are the only channel between workers, as with a real distributed
 deployment.  A block a worker sends is final for the rest of its
 collective, so the receiver gets a read-only view of it instead of a copy;
-any other payload is copied in C order, like the wire's.  No store ever
-holds another worker's memory: a kernel reads what it receives and writes
-only its own blocks.
+any other payload arrives as a read-only C-ordered float64 copy, like the
+wire's.  No store ever holds another worker's memory: a kernel reads what
+it receives and writes only its own blocks.
 """
 
 import queue
@@ -38,17 +38,13 @@ class InProcessCluster(Cluster):
             t.start()
 
     def _deliver(self, src, dst, tag, payload):
-        """Hand dst a read-only view of a C-contiguous, aligned float64
-        payload, which is final for the rest of its collective, and a
-        C-ordered copy of any other, as the wire delivers it: a block's
-        memory order steers BLAS, so an F-ordered one would round
-        differently from the socket backend."""
-        if (isinstance(payload, np.ndarray) and payload.dtype == np.float64
-                and payload.flags.c_contiguous and payload.flags.aligned):
-            payload = payload.view()
-            payload.flags.writeable = False
-        else:
-            payload = np.array(payload, order="C")
+        """Hand dst a read-only C-ordered float64 payload, as the wire
+        delivers it (a block's memory order steers BLAS, so an F-ordered
+        one would round differently from the socket backend): a view of a
+        sent block, which is final for the rest of its collective, and a
+        copy of any other payload."""
+        payload = np.require(payload, np.float64, "CA").view()
+        payload.flags.writeable = False
         self._workers[dst].mailbox.put(src, tag, payload, self.epoch)
 
     def _abort_from(self, src):

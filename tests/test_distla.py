@@ -1547,12 +1547,16 @@ class TestSharedSends:
             with pytest.raises(ValueError, match="read-only"):
                 payload[0, 0] = 0.0
 
-    def test_other_payloads_are_copied_in_c_order(self, cluster_factory):
+    @pytest.mark.parametrize("order, dtype", [("F", np.float64),
+                                              ("C", np.float32)])
+    def test_other_payloads_arrive_as_c_ordered_float64_copies(
+            self, cluster_factory, order, dtype):
         cl = cluster_factory(3)
-        block = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        block = np.asarray(np.arange(6.0).reshape(2, 3), dtype, order=order)
         cl._deliver(1, 2, ("t", "col", 1, 1), block)
         got = cl._workers[2].mailbox.get(1, ("t", "col", 1, 1))
-        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert not got.flags.writeable
         assert not np.shares_memory(got, block)
         np.testing.assert_array_equal(got, block)
 
@@ -1565,8 +1569,8 @@ def _spd(params, inputs, i, j):
 
 
 class TestOneAllocation:
-    """Every owned block of an object that a kernel builds on a worker is a
-    view of one array, and stays one through every in-place update."""
+    """Every owned block of an object on a rank is a view of one array, and
+    stays one through every in-place update."""
 
     @staticmethod
     def _assert_one_allocation(cl, name):
@@ -1601,6 +1605,11 @@ class TestOneAllocation:
         check(distla.crossprod_self(cl, V, "S", subtract=True))
         check(distla.crossprod_self(cl, V, "T"))
         check(construct("d", "vector", "test.spd", cols))
+        check(distla.distribute(cl, "D", spd_matrix(23, seed=3),
+                                "triangular", rows))
+        check(distla.distribute(cl, "W", np.ones((23, 11)), "rectangular",
+                                rows, cols))
+        check(distla.distribute(cl, "w", np.arange(11.0), "vector", cols))
         Z = distla.construct_rnorm_distributed(cl, "Z", "rectangular", rows,
                                                cols)
         check(Z)
