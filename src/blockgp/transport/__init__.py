@@ -22,10 +22,11 @@ def spawn(P, backend="in-process", seed=0, blas_threads=None):
     its receiver as a read-only view (any other payload as a C-ordered
     float64 copy); the socket backend (POSIX only) spawns one subprocess
     per worker, connected to the master by its own socket pair, each with
-    `blas_threads` BLAS threads when it is not None.  `blas_threads` must be None or an integer >= 1 on every backend; the
-    in-process backend does not use it.  The two backends give bit-identical
-    results only when the socket workers run as many BLAS threads as the
-    master process, whose BLAS the in-process workers share.
+    `blas_threads` BLAS threads when it is not None.  `blas_threads` must
+    be None or an integer >= 1 on every backend; the in-process backend
+    does not use it.  The two backends give bit-identical results only when
+    the socket workers run as many BLAS threads as the master process,
+    whose BLAS the in-process workers share.
     """
     if not (is_integer(seed) and 0 <= int(seed) < 2 ** 64):
         raise ConfigError(f"seed must be an integer in [0, 2**64), "
