@@ -1,7 +1,7 @@
 """In-place BLAS and LAPACK on C-ordered float64 blocks, without the GIL.
 
-The four routines the kernels need (`dpotrf`, `dtrsm`, `dsyrk`, `dgemm`) are
-resolved once, at import, from the function pointers that scipy's
+The five routines the kernels need (`dpotrf`, `dtrtri`, `dtrmm`, `dsyrk`,
+`dgemm`) are resolved once, at import, from the function pointers that scipy's
 `cython_blas` and `cython_lapack` export, and called through `ctypes`.  A
 ctypes foreign call releases the interpreter lock, so in-process worker
 threads factor and multiply at the same time; scipy's f2py wrappers hold it.
@@ -42,8 +42,11 @@ def _resolve(module, name, *argtypes):
 
 # uplo, n, a, lda, info
 _dpotrf = _resolve(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
+# uplo, diag, n, a, lda, info
+_dtrtri = _resolve(cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _PTR, _INT,
+                   _INT)
 # side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
-_dtrsm = _resolve(cython_blas, "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
+_dtrmm = _resolve(cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT,
                   _INT, _DBL, _PTR, _INT, _PTR, _INT)
 # uplo, trans, n, k, alpha, a, lda, beta, c, ldc
 _dsyrk = _resolve(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DBL, _PTR,
@@ -53,7 +56,7 @@ _dgemm = _resolve(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT, _DBL,
                   _PTR, _INT, _PTR, _INT, _DBL, _PTR, _INT)
 
 
-_ONE = ctypes.c_double(1.0)  # beta: add to the output
+_ONE = ctypes.c_double(1.0)  # trmm's alpha; beta: add to the output
 
 
 _int = ctypes.c_int  # a dimension, passed by reference as the argtype says
@@ -118,20 +121,36 @@ def potrf(a):
         raise ValueError(f"dpotrf rejected argument {-info.value}")
 
 
-def trsm(l, b, right=False, trans=False):
-    """b := op(l)^-1 b, or b op(l)^-1 with `right`, in place; l is lower
-    triangular with a non-unit diagonal and op(l) is l, or l^T with
-    `trans`."""
-    l, lptr = _operand(l, "the triangular factor")
-    bptr = _output(b, "the right-hand side")
-    n = l.shape[0]
-    _check_shape(l, (n, n), "the triangular factor")
+def trtri(a):
+    """Inverse in place: a's lower triangle L becomes L^-1, for a non-unit
+    diagonal; the strict upper triangle is neither read nor written.
+    Raises np.linalg.LinAlgError if a diagonal entry is exactly zero."""
+    ptr = _output(a, "the inverted block")
+    n = a.shape[0]
+    _check_shape(a, (n, n), "the inverted block")
+    info = ctypes.c_int(0)
+    # Fortran sees a^T, whose upper triangle is tril(a): (L^T)^-1 = (L^-1)^T
+    _dtrtri(b"U", b"N", _int(n), ptr, _ld(a), info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"diagonal entry {info.value} is zero")
+    if info.value < 0:
+        raise ValueError(f"dtrtri rejected argument {-info.value}")
+
+
+def trmm(t, b, right=False, trans=False):
+    """b := op(t) b, or b op(t) with `right`, in place; t is lower
+    triangular with a non-unit diagonal (its strict upper triangle is not
+    read) and op(t) is t, or t^T with `trans`."""
+    t, tptr = _operand(t, "the triangular factor")
+    bptr = _output(b, "the multiplied block")
+    n = t.shape[0]
+    _check_shape(t, (n, n), "the triangular factor")
     _check_shape(b, (b.shape[0], n) if right else (n, b.shape[1]),
-                 "the right-hand side")
-    # Fortran sees b^T and l^T: the side flips, the transpose flag stays
-    _dtrsm(b"L" if right else b"R", b"U", b"T" if trans else b"N", b"N",
-           _int(b.shape[1]), _int(b.shape[0]), _ONE, lptr,
-           _ld(l), bptr, _ld(b))
+                 "the multiplied block")
+    # Fortran sees b^T and t^T: the side flips, the transpose flag stays
+    _dtrmm(b"L" if right else b"R", b"U", b"T" if trans else b"N", b"N",
+           _int(b.shape[1]), _int(b.shape[0]), _ONE, tptr,
+           _ld(t), bptr, _ld(b))
 
 
 def syrk(w, c, alpha=-1.0, trans=False):

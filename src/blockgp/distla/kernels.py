@@ -26,16 +26,20 @@ sends is final for the rest of the collective: the sender never writes it
 again, and the receiver only reads it.
 
 Block arithmetic runs in place through `blas`, on the C-ordered blocks as
-they are and without the interpreter lock: the sweep factors a diagonal
-block with `potrf`, solves down a column with `trsm`, and updates trailing
-blocks with `syrk` (diagonal) and `gemm` (off-diagonal); given a
-right-hand side vector it forward-solves that in the same sweep (`trsm` of
-u(J) by its diagonal owner, `gemm` updates in the diagonal tasks).  In the
-shared schedule one rule accumulates every partial in place, with `gemm`
-(`syrk` into a diagonal block of V^T V, column sums for diag(V^T V)): into
-the result block if the rank owns it, otherwise into the zeroed sum it
-sends; the owner adds the sums it receives, and a solve finishes each
-result block with an in-place `trsm`.
+they are and without the interpreter lock.  A triangular solve by a
+diagonal block L(J, J) is a multiplication by its inverse: the owner of
+L(J, J) inverts it once per collective (`_inverse`, `trtri` on a
+lower-triangular copy) and sends the inverse ("diag") where the block
+itself would travel, and each block solved by L(J, J) is one in-place
+`trmm`.  The sweep factors a diagonal block with `potrf`, solves down its
+column, and updates trailing blocks with `syrk` (diagonal) and `gemm`
+(off-diagonal); given a right-hand side vector it forward-solves that in
+the same sweep (u(J) by its diagonal owner, `gemm` updates in the diagonal
+tasks).  In the shared schedule one rule accumulates every partial in
+place, with `gemm` (`syrk` into a diagonal block of V^T V, column sums for
+diag(V^T V)): into the result block if the rank owns it, otherwise into the
+zeroed sum it sends; the owner adds the sums it receives, and a solve
+finishes each result block by the inverse of its row's diagonal block.
 """
 
 import numpy as np
@@ -123,15 +127,17 @@ def cholesky(ctx, name, out_name, rhs_name=None):
 
     Factors in place (the input name is consumed), and with `rhs_name`
     forward-solves that vector in place in the same sweep: it becomes
-    L^-1 b.  Column J of each step: the diagonal owner factors, column
-    owners triangular-solve and send each solved L(X, J) once to every rank
-    that uses it, then every trailing block (R, C) is updated with the pair
-    L(R,J), L(C,J) in the order of its owner's plan, which holds each
-    received block from its first use to its last (see `_trailing_plan`).
-    Returns this rank's peak number of owned plus held blocks, for the
-    memory-bound check (blocks waiting in the mailbox and vector blocks are
-    not counted), and its sums of log diag L(J, J) and of ||u(J)||^2 over
-    the diagonal blocks it owns (the latter 0 without a right-hand side).
+    L^-1 b.  Column J of each step: the diagonal owner factors and inverts
+    L(J, J), column owners multiply their blocks by the inverse and send
+    each solved L(X, J) once to every rank that uses it, then every
+    trailing block (R, C) is updated with the pair L(R,J), L(C,J) in the
+    order of its owner's plan, which holds each received block from its
+    first use to its last (see `_trailing_plan`).  Returns this rank's peak
+    number of owned plus held blocks, for the memory-bound check (the
+    inverse counts while the column solves, on its owner too; blocks
+    waiting in the mailbox and vector blocks are not counted), and its sums
+    of log diag L(J, J) and of ||u(J)||^2 over the diagonal blocks it owns
+    (the latter 0 without a right-hand side).
     """
     piece = ctx.fetch(name)
     rhs = None if rhs_name is None else ctx.fetch(rhs_name).blocks
@@ -166,39 +172,37 @@ def _cholesky_sweep(ctx, out_name, blocks, lay, u=None):
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(J) from None
             ctx.log_event("factor", J, J)
+            inverse = _inverse(L, J)
+            peak = max(peak, owned + 1)
             for dest in sorted({block_owner(I, J, grid)
                                 for I in range(J + 1, B + 1)}):
                 if dest != me:
-                    ctx.send(dest, (out_name, "diag", J, J), L)
+                    ctx.send(dest, (out_name, "diag", J, J), inverse)
             log_diag += float(np.sum(np.log(np.diag(L))))
-        # triangular solves down column J, each block sent on as soon as
-        # it is solved, once to each rank whose trailing blocks use it
+        # solves down column J by L(J, J)^-1, each block sent on as soon
+        # as it is solved, once to each rank whose trailing blocks use it
         my_rows = [I for I in range(J + 1, B + 1)
                    if block_owner(I, J, grid) == me]
-        if my_rows:
-            if me == downer:
-                Ljj = blocks[(J, J)]
-            else:
-                Ljj = ctx.recv(downer, (out_name, "diag", J, J), (bs, bs))
-                peak = max(peak, owned + 1)
-            for I in my_rows:
-                blas.trsm(Ljj, blocks[(I, J)], right=True, trans=True)
-                ctx.log_event("solve", I, J)
-                for dest in sorted({rect_block_owner(I, X, grid)
-                                    for X in range(J + 1, B + 1)}):
-                    if dest != me:
-                        ctx.send(dest, (out_name, "col", I, J),
-                                 blocks[(I, J)])
-            del Ljj
+        if my_rows and me != downer:
+            inverse = ctx.recv(downer, (out_name, "diag", J, J), (bs, bs))
+            peak = max(peak, owned + 1)
+        for I in my_rows:
+            blas.trmm(inverse, blocks[(I, J)], right=True, trans=True)
+            ctx.log_event("solve", I, J)
+            for dest in sorted({rect_block_owner(I, X, grid)
+                                for X in range(J + 1, B + 1)}):
+                if dest != me:
+                    ctx.send(dest, (out_name, "col", I, J), blocks[(I, J)])
         # solve u(J) after the column blocks the trailing updates wait for
         uJ = None
         if u is not None and me == downer:
             uJ = u[(J, 1)]
-            blas.trsm(blocks[(J, J)], uJ)
+            blas.trmm(inverse, uJ)
             sum_sq += float(np.vdot(uJ, uJ))
             for dest in sorted({vector_block_owner(I, grid)
                                 for I in range(J + 1, B + 1)} - {me}):
                 ctx.send(dest, (out_name, "x", J, 1), uJ)
+        inverse = None  # held only while the column solves
         # trailing updates, walking this rank's plan
         held = {}
         for R, C, receive, done in _trailing_plan(J, B, grid, me):
@@ -220,6 +224,18 @@ def _cholesky_sweep(ctx, out_name, blocks, lay, u=None):
                 del held[X]
     return {"peak_blocks": peak, "owned_blocks": owned,
             "log_diag": log_diag, "sum_sq": sum_sq}
+
+
+def _inverse(L, J):
+    """L^-1 of the lower-triangular diagonal block L(J, J), as a new block;
+    padding's unit diagonal inverts to itself.  Raises SingularDiagonal
+    naming J on a zero diagonal entry."""
+    inverse = np.tril(L)
+    try:
+        blas.trtri(inverse)
+    except np.linalg.LinAlgError:
+        raise SingularDiagonal(f"zero diagonal in block {J}") from None
+    return inverse
 
 
 def _trailing_plan(J, B, grid, coord):
@@ -313,18 +329,19 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
 
     The walk runs in stages, one per result block row J (descending for
     "back", ascending otherwise: a solve's row reads the rows solved
-    before it).  A solve's stage opens with the owner of L(J, J) sending it
-    once to each other owner of a block of row J ("diag"), which holds it
-    for the row.  Then two passes walk the row's triples (J, c, K):
+    before it).  A solve's stage opens with the owner of L(J, J) inverting
+    it and sending the inverse once to each other owner of a block of row J
+    ("diag"), which holds it for the row.  Then two passes walk the row's
+    triples (J, c, K):
     - produce: each rank sums its partials for each other rank's block in
       ascending K, and sends the sum when its walk of that cell ends;
     - consume: each rank builds its own blocks of the row, in the blocks of
-      the result, and a solve finishes each with a trsm.
+      the result, and a solve finishes each with a trmm by the inverse.
     So no rank waits for a sum of a row before it has sent all it owes for
     that row.  Nothing can deadlock: within a pass every rank walks the
     same triples in the same order, and a rank waits only for a message
     sent at the same triple of the same pass by a rank that only sends
-    there (an operand), or sent earlier in the stage (L(J, J), and each
+    there (an operand), or sent earlier in the stage (L(J, J)^-1, and each
     sum, sent when its cell's walk in the produce pass ends, before any
     rank waits in the consume pass), or in an earlier stage (a solved
     operand block).
@@ -334,7 +351,7 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     grid, me = ctx.grid, ctx.coord
     solving, square = op in ("forward", "back"), x_name == m_name
     in_place = subtract or (solving and out_name == x_name)
-    B = M.row_layout.B
+    B, bs = M.row_layout.B, M.row_layout.block_size
     Ks = {"forward": lambda J: range(1, J),
           "back": lambda J: range(J + 1, B + 1),
           "mult": lambda J: range(1, J + 1),
@@ -380,19 +397,6 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
             blas.syrk(Mb, acc, sign, trans=True)
         else:
             blas.gemm(Mb, xk, acc, sign, trans_a=transposed)
-    if solving:
-        bs = M.row_layout.block_size
-
-        def row_finish(J):
-            """Solve row J's blocks by L(J, J), received once for the row."""
-            downer = block_owner(J, J, grid)
-            Ljj = (M.blocks[(J, J)] if downer == me else
-                   ctx.recv(downer, (out_name, "diag", J, J), (bs, bs)))
-            if np.any(np.diag(Ljj) == 0.0):
-                raise SingularDiagonal(f"zero diagonal in block {J}")
-            return lambda acc: blas.trsm(Ljj, acc, trans=op == "back")
-    else:  # a product's block is done when its partials are in
-        row_finish = lambda J: (lambda acc: None)
 
     def operand(K, c, where):
         """X(K, c) on the rank `where` (None elsewhere, or without X); its
@@ -408,11 +412,12 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
     for J in rows:
         cells = [(c, res_owner(J, c)) for c in row_cols(J)]
         owners = {towner for _, towner in cells}
+        inverse = None
         if solving and block_owner(J, J, grid) == me:
+            inverse = _inverse(M.blocks[(J, J)], J)
             for dest in sorted(owners - {me}):
-                ctx.send(dest, (out_name, "diag", J, J), M.blocks[(J, J)])
+                ctx.send(dest, (out_name, "diag", J, J), inverse)
         for owed in (True, False):  # the produce pass, then the consume pass
-            finish = row_finish(J) if me in owners and not owed else None
             for c, towner in cells:
                 tag = (out_name, "ps", J, c)
                 acc = res.blocks[(J, c)] if towner == me and not owed else None
@@ -432,7 +437,12 @@ def _schedule(ctx, op, m_name, x_name, out_name, subtract=False):
                 elif not owed and towner == me:
                     for where in senders:
                         np.add(acc, ctx.recv(where, tag, shape), out=acc)
-                    finish(acc)
+                    if solving:  # acc := op(L(J, J))^-1 acc
+                        if inverse is None:
+                            inverse = ctx.recv(block_owner(J, J, grid),
+                                               (out_name, "diag", J, J),
+                                               (bs, bs))
+                        blas.trmm(inverse, acc, trans=op == "back")
     ctx.store[out_name] = res
 
 

@@ -21,6 +21,15 @@ def _lower(bs, seed=0):
     return np.linalg.cholesky(spd_matrix(bs, seed))
 
 
+def _solve(l, b, right=False, trans=False):
+    """b := op(l)^-1 b, or b op(l)^-1 with `right`, in place: a triangular
+    solve with multiple right-hand sides (BLAS's trsm), as the kernels run
+    it.  trtri inverts a copy of l once, and trmm multiplies by it."""
+    inverse = np.tril(l)
+    blas.trtri(inverse)
+    blas.trmm(inverse, b, right=right, trans=trans)
+
+
 def _misaligned(a, writeable=False):
     """A copy of a whose data starts 4 bytes past an 8-byte boundary, an
     `np.frombuffer` view, read-only unless `writeable`."""
@@ -60,12 +69,53 @@ class TestAgainstNumpy:
             blas.potrf(block)
 
     @pytest.mark.parametrize("bs", SIZES)
+    def test_trtri(self, bs):
+        L = _lower(bs)
+        upper = np.triu(np.full((bs, bs), 7.0), 1)
+        block = L + upper
+        blas.trtri(block)
+        want = la.solve_triangular(L, np.eye(bs), lower=True)
+        assert relerr(np.tril(block), want) < RTOL
+        np.testing.assert_array_equal(np.triu(block, 1), upper)
+
+    def test_trtri_padded_diagonal_block(self):
+        # a factored diagonal block with the padding rule's unit tail: the
+        # tail inverts to itself and the live part to its inverse
+        live = _lower(5, seed=2)
+        block = np.eye(7)
+        block[:5, :5] = live
+        blas.trtri(block)
+        want = np.eye(7)
+        want[:5, :5] = la.solve_triangular(live, np.eye(5), lower=True)
+        assert relerr(block, want) < RTOL
+        np.testing.assert_array_equal(block[5:], np.eye(7)[5:])
+        np.testing.assert_array_equal(block[:, 5:], np.eye(7)[:, 5:])
+
+    def test_trtri_zero_diagonal(self):
+        block = np.diag([1.0, 0.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            blas.trtri(block)
+
+    @pytest.mark.parametrize("bs", SIZES)
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_trmm(self, bs, right, trans):
+        # t's strict upper triangle is not read
+        rng = np.random.default_rng(15)
+        t = rng.standard_normal((bs, bs))
+        b = rng.standard_normal((3, bs) if right else (bs, 3))
+        got = b.copy()
+        blas.trmm(t, got, right=right, trans=trans)
+        op = np.tril(t).T if trans else np.tril(t)
+        assert relerr(got, b @ op if right else op @ b) < RTOL
+
+    @pytest.mark.parametrize("bs", SIZES)
     def test_trsm_column_solve(self, bs):
         # the Cholesky sweep's X := X L^-T
         L = _lower(bs)
         x = np.random.default_rng(3).standard_normal((bs, bs))
         got = x.copy()
-        blas.trsm(L, got, right=True, trans=True)
+        _solve(L, got, right=True, trans=True)
         want = la.solve_triangular(L, x.T, lower=True).T
         assert relerr(got, want) < RTOL
 
@@ -73,11 +123,12 @@ class TestAgainstNumpy:
     @pytest.mark.parametrize("trans", [False, True])
     @pytest.mark.parametrize("shape", ["vector", "rectangular"])
     def test_trsm_left(self, bs, trans, shape):
+        # a shared-schedule solve's op(L)^-1 B, for a forward or back solve
         L = _lower(bs)
         rng = np.random.default_rng(4)
         b = rng.standard_normal((bs, 1) if shape == "vector" else (bs, 3))
         got = b.copy()
-        blas.trsm(L, got, trans=trans)
+        _solve(L, got, trans=trans)
         want = la.solve_triangular(L, b, lower=True, trans=int(trans))
         assert got.shape == b.shape
         assert relerr(got, want) < RTOL
@@ -135,8 +186,11 @@ def _calls(bs=7):
     m = rng.standard_normal((bs, bs))
     return {
         "potrf": (lambda _, out: blas.potrf(out), None, spd_matrix(bs, 9)),
-        "trsm": (lambda op, out: blas.trsm(op, out, right=True, trans=True),
+        "trtri": (lambda _, out: blas.trtri(out), None, _lower(bs)),
+        "trsm": (lambda op, out: _solve(op, out, right=True, trans=True),
                  _lower(bs), m.copy()),
+        "trmm": (lambda op, out: blas.trmm(op, out, right=True, trans=True),
+                 np.linalg.inv(_lower(bs)), m.copy()),
         "syrk": (blas.syrk, m, spd_matrix(bs, 10)),
         "gemm": (lambda op, out: blas.gemm(op, m, out, -1.0, trans_b=True),
                  m.T.copy(), m.copy()),
@@ -144,7 +198,7 @@ def _calls(bs=7):
 
 
 class TestArguments:
-    @pytest.mark.parametrize("which", ["trsm", "syrk", "gemm"])
+    @pytest.mark.parametrize("which", ["trsm", "trmm", "syrk", "gemm"])
     @pytest.mark.parametrize("odd", ["misaligned-read-only", "f-ordered"])
     def test_odd_operand_gives_the_same_bits(self, which, odd):
         call, operand, out = _calls()[which]
@@ -159,7 +213,8 @@ class TestArguments:
         call(copy, got)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("which", ["potrf", "trsm", "syrk", "gemm"])
+    @pytest.mark.parametrize("which", ["potrf", "trtri", "trsm", "trmm",
+                                       "syrk", "gemm"])
     @pytest.mark.parametrize("wrong", ["f-ordered", "read-only", "shape",
                                        "misaligned", "float32"])
     def test_wrong_output_raises_and_is_untouched(self, which, wrong):
@@ -181,7 +236,8 @@ class TestArguments:
         np.testing.assert_array_equal(out, before)
 
     @pytest.mark.parametrize("case", ["gemm-factor", "gemm-accumulator",
-                                      "syrk-factor", "trsm-rhs"])
+                                      "syrk-factor", "trsm-rhs",
+                                      "trtri-block"])
     def test_1d_array_is_not_a_column(self, case):
         # a column is an n x 1 matrix; each call here would be valid with
         # the 1-D array reshaped to one, and must raise untouched instead
@@ -193,7 +249,8 @@ class TestArguments:
             "gemm-accumulator": (lambda: blas.gemm(a, x[:, None], x, 1.0),
                                  x),
             "syrk-factor": (lambda: blas.syrk(x, square), square),
-            "trsm-rhs": (lambda: blas.trsm(_lower(7), x), x),
+            "trsm-rhs": (lambda: _solve(_lower(7), x), x),
+            "trtri-block": (lambda: blas.trtri(x), x),
         }[case]
         before = out.copy()
         with pytest.raises(ValueError):
@@ -207,23 +264,23 @@ class TestArguments:
         np.testing.assert_array_equal(c, 0.0)
 
     def test_triangular_factor_must_be_square(self):
-        b = np.ones((3, 2))
+        b, t = np.ones((3, 2)), np.ones((3, 2))
         with pytest.raises(ValueError):
-            blas.trsm(np.ones((3, 2)), b)
+            blas.trmm(np.ones((3, 2)), b)
+        with pytest.raises(ValueError):
+            blas.trtri(t)
         np.testing.assert_array_equal(b, 1.0)
+        np.testing.assert_array_equal(t, 1.0)
 
 
-def _main_thread_stall(n=1000):
-    """(longest main-thread stall, call time) while another thread runs an
-    n x n gemm through the module."""
-    rng = np.random.default_rng(12)
-    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    c = np.zeros((n, n))
+def _main_thread_stall(call):
+    """(longest main-thread stall, call time) while another thread runs
+    call(), one large routine of the module."""
     span = []
 
     def work():
         t0 = time.perf_counter()
-        blas.gemm(a, b, c, 1.0)
+        call()
         span.extend([t0, time.perf_counter()])
 
     worker = threading.Thread(target=work)
@@ -240,21 +297,39 @@ def _main_thread_stall(n=1000):
     return float(np.max(np.diff(marks))), t1 - t0
 
 
-def test_gemm_releases_the_gil():
-    # while one thread multiplies, the main thread keeps running Python; a
+def _assert_releases_the_gil(call):
+    # while one thread runs call(), the main thread keeps running Python; a
     # call that holds the interpreter lock, or copies its operands under
     # it, stops the main thread for the whole call or a large part of it.
     # A busy host can also deschedule the main thread, so one of three
     # calls must show no long stall; a call under the lock stalls in all.
     tries = []
     for _ in range(3):
-        stall, took = _main_thread_stall()
+        stall, took = _main_thread_stall(call)
         tries.append((stall, took))
         if stall < took / 4:
             break
     else:
         pytest.fail(f"main thread stalled (stall, call) in every try: "
                     f"{tries}")
+
+
+def test_gemm_releases_the_gil():
+    n = 1000
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    c = np.zeros((n, n))
+    _assert_releases_the_gil(lambda: blas.gemm(a, b, c, 1.0))
+
+
+@pytest.mark.parametrize("which", ["trtri", "trmm"])
+def test_triangular_routines_release_the_gil(which):
+    # a diagonal block's inversion and a solve by its inverse; trtri
+    # inverts its block back and forth from try to try
+    L = _lower(1000, seed=16)
+    b = np.random.default_rng(17).standard_normal((1000, 1000))
+    _assert_releases_the_gil({"trtri": lambda: blas.trtri(L),
+                              "trmm": lambda: blas.trmm(L, b)}[which])
 
 
 def test_block_products_run_only_through_blas():

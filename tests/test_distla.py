@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blockgp import distla, registry
+from blockgp.distla import blas
 from blockgp.errors import (DimensionMismatch, GeneratorError,
                             NotPositiveDefinite, SingularDiagonal)
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
@@ -549,14 +550,15 @@ def _plan_replay(h, D):
     """Replay every rank's step plans for one Cholesky: each remote input
     is received once and held when its update runs.  Returns the number
     of column blocks received and each rank's peak of owned plus held
-    blocks (a received diagonal block counts while the column solves)."""
+    blocks (the inverse of a diagonal block counts while the column
+    solves, on its owner and on each rank it is sent to)."""
     grid = ProcessGrid(D)
     lay = BlockLayout(h * D, h, D)
     total, peaks = 0, {}
     for coord in grid.coords():
         owned = peak = len(triangular_blocks(coord, lay, grid))
         for J in range(1, lay.B + 1):
-            if block_owner(J, J, grid) != coord and any(
+            if block_owner(J, J, grid) == coord or any(
                     block_owner(I, J, grid) == coord
                     for I in range(J + 1, lay.B + 1)):
                 peak = max(peak, owned + 1)
@@ -801,6 +803,97 @@ class TestTriangularSolves:
         b = distla.distribute(cl, "b", np.ones(6), "vector", _layout(cl, 6, 2))
         with pytest.raises(DimensionMismatch):
             distla.triangular_solve(cl, L, b, "x")
+
+
+def _counting_inversions(monkeypatch):
+    """Record (rank, copy of the block as given) of every `blas.trtri` call
+    from now on; an in-process worker's thread is named after its rank."""
+    calls = []
+    trtri = blas.trtri
+
+    def counted(a):
+        rank = int(threading.current_thread().name.rsplit("-", 1)[1])
+        calls.append((rank, a.copy()))
+        trtri(a)
+    monkeypatch.setattr(blas, "trtri", counted)
+    return calls
+
+
+class TestDiagonalInverses:
+    """The owner of each diagonal block L(J, J) inverts it once per Cholesky
+    and once per solve, and every solve by L(J, J) multiplies by that
+    inverse."""
+
+    @pytest.mark.parametrize("P", [1, 3, 6])
+    def test_each_diagonal_block_is_inverted_once_by_its_owner(
+            self, cluster_factory, monkeypatch, P):
+        calls = _counting_inversions(monkeypatch)
+        cl = cluster_factory(P)
+        n, m = 4 * cl.grid.D + 1, 5  # padded rows: a unit tail in L(B, B)
+        rows, cols = _layout(cl, n, 2), _layout(cl, m, 2)
+        A, rng = spd_matrix(n, seed=P), np.random.default_rng(P)
+        b = distla.distribute(cl, "b", rng.standard_normal(n), "vector", rows)
+        R0 = rng.standard_normal((n, m))
+        R = distla.distribute(cl, "R", R0, "rectangular", rows, cols)
+        owners = sorted((cl.grid.coord_to_rank(*block_owner(J, J, cl.grid)), J)
+                        for J in range(1, rows.B + 1))
+
+        def inverted(name):
+            """(rank, J) of each call, J the diagonal block of `name` that
+            the calling rank owns and gave (a rank owns each of its
+            diagonal blocks at most once, so one match)."""
+            out = []
+            for rank, given in calls:
+                blocks = cl.pull(name, rank).blocks
+                out.append((rank, *[I for (I, J), block in blocks.items()
+                                    if I == J and np.array_equal(block,
+                                                                 given)]))
+            calls.clear()
+            return sorted(out)
+
+        def factor(rhs):
+            C = distla.distribute(cl, "C", A, "triangular", rows)
+            u = distla.distribute(cl, "u", np.ones(n), "vector", rows)
+            return distla.distributed_cholesky(cl, C, "L",
+                                               rhs=u if rhs else None)[0]
+        for rhs in (False, True):
+            calls.clear()
+            L = factor(rhs)
+            assert inverted("L") == owners, rhs
+        for side in ("forward", "back"):
+            for B in (b, R):
+                distla.triangular_solve(cl, L, B, "X", side=side)
+                assert inverted("L") == owners, (side, B.name)
+        Q = distla.distribute(cl, "Q", R0, "rectangular", rows, cols)
+        distla.triangular_solve(cl, L, Q, "Q")
+        assert inverted("L") == owners
+        # products by L invert nothing
+        distla.mult_chol(cl, L, R, "Y")
+        assert calls == []
+
+    @pytest.mark.parametrize("side", ["forward", "back"])
+    @pytest.mark.parametrize("kind", ["vector", "rectangular"])
+    def test_a_zero_diagonal_names_its_block(self, cluster_factory,
+                                             monkeypatch, side, kind):
+        # n=7 on P=3 with h=2: four blocks of two, the last one padded; the
+        # owner of L(2, 2) raises, and the ranks waiting for its inverse
+        # leave through the abort
+        calls = _counting_inversions(monkeypatch)
+        cl = cluster_factory(3)
+        layout = _layout(cl, 7, 2)
+        A = np.tril(np.ones((7, 7))) + np.eye(7)
+        A[3, 3] = 0.0
+        L = distla.distribute(cl, "L", A, "triangular", layout)
+        ones = np.ones(7 if kind == "vector" else (7, 3))
+        B = distla.distribute(cl, "B", ones, kind, layout, _layout(cl, 3, 1))
+        calls.clear()
+        with pytest.raises(SingularDiagonal, match="in block 2$"):
+            distla.triangular_solve(cl, L, B, "X", side=side)
+        owner = cl.grid.coord_to_rank(*block_owner(2, 2, cl.grid))
+        assert [rank for rank, given in calls
+                if np.array_equal(given, A[2:4, 2:4])] == [owner]
+        # every rank left the collective: the cluster takes the next one
+        np.testing.assert_array_equal(distla.collect(cl, B), ones)
 
 
 class TestMultiplies:
@@ -1323,44 +1416,47 @@ class TestSchedules:
         ]
 
     # sha256 (first 16 hex digits) of each `_schedule_calls` result as
-    # collected, for P = 3, 6 and 10, recorded when each rank began to send
-    # one sum per result block: the owner adds its own partials in
-    # ascending K, then each sum in the order of its sender's first K
+    # collected, for P = 3, 6 and 10: the owner adds its own partials in
+    # ascending K, then each sum in the order of its sender's first K.  The
+    # solves and products of L were recorded when each diagonal block's
+    # inverse began to stand in for a triangular solve by it (which moves L,
+    # and so the products, in the last bits); the crossproducts, which do
+    # not read L, when each rank began to send one sum per result block
     BITS = {
         3: {
-            "solve_vector_forward": "a60e3cdc93b47859",
-            "solve_vector_back": "b1e955382cb1efd3",
-            "solve_rect_forward": "3d7416986018e694",
-            "solve_rect_back": "a776050deb8a41ab",
-            "solve_rect_in_place": "3d7416986018e694",
-            "mult_vector": "094aefd0c7244598",
-            "mult_rect": "e5ab7d080b45c12d",
+            "solve_vector_forward": "1c65453e345ad6f9",
+            "solve_vector_back": "2ed82a10567f3778",
+            "solve_rect_forward": "2e104ba8917f3b23",
+            "solve_rect_back": "e26c709b6e068008",
+            "solve_rect_in_place": "2e104ba8917f3b23",
+            "mult_vector": "4f6b49078dd48e0c",
+            "mult_rect": "f9cf820582ef4dcd",
             "xprod_mat_vec": "d0ff7be94074c082",
             "xprod_self": "de9cc32a7627bb40",
             "xprod_self_diag": "b942e538676b940a",
             "xprod_self_sub": "c37b22a7c9511df1",
         },
         6: {
-            "solve_vector_forward": "b2a75bcaf06be83e",
-            "solve_vector_back": "64bb826c711694d9",
-            "solve_rect_forward": "0fe50890025d1703",
-            "solve_rect_back": "859a0d2e6598f421",
-            "solve_rect_in_place": "0fe50890025d1703",
-            "mult_vector": "b0e8878d65e67476",
-            "mult_rect": "c5962a68fb2fe1fc",
+            "solve_vector_forward": "44c2bebeecfdc310",
+            "solve_vector_back": "566e94efed767479",
+            "solve_rect_forward": "735503755f29afe0",
+            "solve_rect_back": "7022b65eee0e15ca",
+            "solve_rect_in_place": "735503755f29afe0",
+            "mult_vector": "ed31f90271883d42",
+            "mult_rect": "69ad811d10c745eb",
             "xprod_mat_vec": "878aee8b7cdb9850",
             "xprod_self": "dc6285adcdc441f8",
             "xprod_self_diag": "7eb999413f139d95",
             "xprod_self_sub": "75c60d9a3e04d80c",
         },
         10: {
-            "solve_vector_forward": "48fc0dee84c98c4e",
-            "solve_vector_back": "c16b44d4c43ce654",
-            "solve_rect_forward": "f1eb069799d61bdb",
-            "solve_rect_back": "df3c61e778b02747",
-            "solve_rect_in_place": "f1eb069799d61bdb",
-            "mult_vector": "bb907828ba41114d",
-            "mult_rect": "4d8e3ca481a30b91",
+            "solve_vector_forward": "32cc2ebc30b2f7ad",
+            "solve_vector_back": "109305addc12666c",
+            "solve_rect_forward": "e0e136d54849be1d",
+            "solve_rect_back": "e8e2ec7e22357fea",
+            "solve_rect_in_place": "e0e136d54849be1d",
+            "mult_vector": "c9acda7638c2cb6a",
+            "mult_rect": "d9feb877858cf524",
             "xprod_mat_vec": "ad16ba96c4ef866d",
             "xprod_self": "3e97d059d3e3fb36",
             "xprod_self_diag": "7969e328355a13c4",

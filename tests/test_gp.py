@@ -1,10 +1,12 @@
 """Kriging engine: likelihood, MLE, prediction, simulation, freshness."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
@@ -18,6 +20,7 @@ from blockgp.errors import (BlockGPError, DimensionMismatch,
 from blockgp.gp import (BUILTIN_KERNELS, KrigeProblem, builtin_spec,
                         matern_correlation, sqexp_correlation)
 from blockgp.rng import RankStream
+from scipy.spatial.distance import cdist
 
 from conftest import exp_cov, relerr
 
@@ -1031,3 +1034,37 @@ class TestBuiltinSpecs:
         prob = _problem(cl, coords, y, [1.4, 1.0], kernel="sqexp")
         want = _serial_loglik(C, y)
         assert abs(prob.log_density() - want) / abs(want) <= 1e-10
+
+
+@functools.lru_cache(maxsize=1)
+def _ill_conditioned_sqexp():
+    """(coords, pred, y, theta, log density, predicted mean): no-nugget
+    sqexp with theta = (1, 0.25) on n = 2000 points uniform on [0, 10]^2
+    (condition number about 1.9e9), m = 300 prediction points, y a draw
+    from the model, and the dense scipy answers."""
+    rng = np.random.default_rng(1)
+    coords, pred = rng.uniform(0, 10, (2000, 2)), rng.uniform(0, 10, (300, 2))
+    theta = np.array([1.0, 0.25])
+    C = theta[0] * np.exp(-0.5 * (cdist(coords, coords) / theta[1]) ** 2)
+    Cx = theta[0] * np.exp(-0.5 * (cdist(coords, pred) / theta[1]) ** 2)
+    L = sla.cholesky(C, lower=True)
+    y = L @ rng.standard_normal(len(coords))
+    u = sla.solve_triangular(L, y, lower=True)
+    ll = -0.5 * len(y) * LOG_2PI - np.sum(np.log(np.diag(L))) - 0.5 * u @ u
+    mean = Cx.T @ sla.cho_solve((L, True), y)
+    return coords, pred, y, theta, ll, mean
+
+
+@pytest.mark.parametrize("h", [2, 4, 8])
+def test_ill_conditioned_sqexp_matches_dense_scipy(cluster_factory, h):
+    """Solves by the explicit inverse of each diagonal block are not
+    backward stable in general; on the worst-conditioned built-in kernel
+    the log density and the predicted mean must still match a dense
+    factorization.  Measured: at most 3.2e-11 relative, and 6.0e-11 when
+    the blocks were solved with dtrsm."""
+    coords, pred, y, theta, ll, mean = _ill_conditioned_sqexp()
+    cl = cluster_factory(3)
+    prob = KrigeProblem(cl, "t", builtin_spec("sqexp", coords, pred), y,
+                        theta, m=len(pred), h_n=h)
+    assert abs(prob.log_density() - ll) / abs(ll) <= 1e-9
+    assert relerr(prob.predict(), mean) <= 1e-9
