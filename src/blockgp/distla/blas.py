@@ -11,10 +11,10 @@ memory.  Each routine therefore passes BLAS the transposed problem and
 works on the blocks as they are, with no copy and no temporary.
 
 A wrong pointer or leading dimension corrupts memory silently, so every
-routine checks its arguments before calling in: the array it writes must be
-a C-contiguous, aligned, writable float64 array of the right shape, or it
-raises ValueError; an operand that is not C-contiguous and aligned float64
-is copied first.  Every array is a 2-D matrix: a column is an n x 1 one.
+routine checks its arguments before calling in: every array must be a 2-D,
+C-contiguous, aligned float64 array of the right shape, and the one it
+writes must be writable, or it raises ValueError before anything is
+written.  No operand is ever copied.  A column is an n x 1 matrix.
 """
 
 import ctypes
@@ -62,37 +62,17 @@ _ONE = ctypes.c_double(1.0)  # trmm's alpha; beta: add to the output
 _int = ctypes.c_int  # a dimension, passed by reference as the argtype says
 
 
-def _matrix(a, writable=False):
-    """a's data pointer if a is a C-contiguous, aligned float64 matrix (and
-    writable, with `writable`), else None."""
-    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == _F8):
-        return None
-    flags = a.flags
-    if not (flags.c_contiguous and flags.aligned) or (
-            writable and not flags.writeable):
-        return None
-    return a.__array_interface__["data"][0]
-
-
-def _operand(a, what):
-    """(a as a C-contiguous, aligned float64 matrix, copied only if needed,
-    its data pointer)."""
-    ptr = _matrix(a)
-    if ptr is None:
-        a = np.array(a, dtype=_F8, order="C")  # a fresh array is aligned
-        if a.ndim != 2:
-            raise ValueError(f"{what} must be 2-D, got {a.ndim}-D")
-        ptr = _matrix(a)
-    return a, ptr
-
-
-def _output(a, what):
-    """The data pointer of a, checked to be a matrix writable in place."""
-    ptr = _matrix(a, writable=True)
-    if ptr is None:
-        raise ValueError(f"{what} must be a 2-D C-contiguous, aligned, "
-                         f"writable float64 array")
-    return ptr
+def _matrix(a, what, writable=False):
+    """The data pointer of a, checked to be a 2-D, C-contiguous, aligned
+    float64 array (and writable, with `writable`): BLAS reads and writes the
+    blocks in place and never copies one."""
+    if isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == _F8:
+        flags = a.flags
+        if flags.c_contiguous and flags.aligned and (
+                not writable or flags.writeable):
+            return a.__array_interface__["data"][0]
+    raise ValueError(f"{what} must be a 2-D C-contiguous, aligned"
+                     f"{', writable' if writable else ''} float64 array")
 
 
 def _check_shape(a, shape, what):
@@ -109,7 +89,7 @@ def potrf(a):
     """Cholesky factor in place: a's lower triangle becomes L with
     a = L L^T; the strict upper triangle is neither read nor written.
     Raises np.linalg.LinAlgError if a leading minor is not positive."""
-    ptr = _output(a, "the factored block")
+    ptr = _matrix(a, "the factored block", writable=True)
     n = a.shape[0]
     _check_shape(a, (n, n), "the factored block")
     info = ctypes.c_int(0)
@@ -125,7 +105,7 @@ def trtri(a):
     """Inverse in place: a's lower triangle L becomes L^-1, for a non-unit
     diagonal; the strict upper triangle is neither read nor written.
     Raises np.linalg.LinAlgError if a diagonal entry is exactly zero."""
-    ptr = _output(a, "the inverted block")
+    ptr = _matrix(a, "the inverted block", writable=True)
     n = a.shape[0]
     _check_shape(a, (n, n), "the inverted block")
     info = ctypes.c_int(0)
@@ -141,8 +121,8 @@ def trmm(t, b, right=False, trans=False):
     """b := op(t) b, or b op(t) with `right`, in place; t is lower
     triangular with a non-unit diagonal (its strict upper triangle is not
     read) and op(t) is t, or t^T with `trans`."""
-    t, tptr = _operand(t, "the triangular factor")
-    bptr = _output(b, "the multiplied block")
+    tptr = _matrix(t, "the triangular factor")
+    bptr = _matrix(b, "the multiplied block", writable=True)
     n = t.shape[0]
     _check_shape(t, (n, n), "the triangular factor")
     _check_shape(b, (b.shape[0], n) if right else (n, b.shape[1]),
@@ -156,8 +136,8 @@ def trmm(t, b, right=False, trans=False):
 def syrk(w, c, alpha=-1.0, trans=False):
     """tril(c) += alpha op(w) op(w)^T in place, where op(w) is w, or w^T
     with `trans`; c's strict upper triangle is neither read nor written."""
-    w, wptr = _operand(w, "the update factor")
-    cptr = _output(c, "the updated block")
+    wptr = _matrix(w, "the update factor")
+    cptr = _matrix(c, "the updated block", writable=True)
     k, n = w.shape if trans else w.shape[::-1]
     _check_shape(c, (n, n), "the updated block")
     # Fortran sees w^T and c^T, whose upper triangle is tril(c): it takes
@@ -169,9 +149,9 @@ def syrk(w, c, alpha=-1.0, trans=False):
 def gemm(a, b, c, alpha, trans_a=False, trans_b=False):
     """c += alpha op(a) op(b) in place, where op(x) is x, or x^T with the
     matching `trans_*`."""
-    a, aptr = _operand(a, "the left factor")
-    b, bptr = _operand(b, "the right factor")
-    cptr = _output(c, "the accumulator")
+    aptr = _matrix(a, "the left factor")
+    bptr = _matrix(b, "the right factor")
+    cptr = _matrix(c, "the accumulator", writable=True)
     m, k = a.shape[::-1] if trans_a else a.shape
     kb, n = b.shape[::-1] if trans_b else b.shape
     if kb != k:

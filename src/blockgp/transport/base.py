@@ -106,24 +106,19 @@ class WorkerContext:
     events: list = field(default_factory=list)
     events_enabled: bool = False
 
-    def rank_of(self, coord):
-        return self.grid.coord_to_rank(*coord)
-
     def send(self, dst, tag, payload):
-        """Send to a rank or coordinate.  A block sent is final for the rest
-        of the collective: the sender must not write it again, since an
-        in-process receiver may get it without a copy (read-only)."""
-        if isinstance(dst, tuple):
-            dst = self.rank_of(dst)
-        self._send(dst, tag, payload)
+        """Send payload to the worker at grid coordinate dst.  A block sent
+        is final for the rest of the collective: the sender must not write
+        it again, since an in-process receiver may get it without a copy
+        (read-only)."""
+        self._send(self.grid.coord_to_rank(*dst), tag, payload)
 
-    def recv(self, src, tag, shape=None):
-        if isinstance(src, tuple):
-            src = self.rank_of(src)
-        payload = self._mailbox.get(src, tag)
-        if shape is not None:
-            payload = np.asarray(payload).reshape(shape)
-        return payload
+    def recv(self, src, tag, shape):
+        """The next payload with `tag` from the worker at grid coordinate
+        src, reshaped to `shape`: a C-ordered, aligned float64 block that
+        BLAS reads in place (read-only in-process)."""
+        return self._mailbox.get(self.grid.coord_to_rank(*src),
+                                 tag).reshape(shape)
 
     def fetch(self, name):
         try:

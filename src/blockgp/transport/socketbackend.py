@@ -30,6 +30,10 @@ from .wire import decode_body, encode_control, encode_data, read_frame
 
 _SPAWN_TIMEOUT = 60.0
 _HELLO = ("control", {"kind": "hello"})
+# the directory that holds the imported blockgp package, put first on each
+# worker's PYTHONPATH: the master may have found blockgp through sys.path
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 class SocketCluster(Cluster):
@@ -40,9 +44,10 @@ class SocketCluster(Cluster):
         self._locks = {}
         self._procs = []
         self._fail_lock = threading.Lock()
-        env = None
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
         if blas_threads is not None:
-            env = dict(os.environ)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = str(blas_threads)

@@ -198,7 +198,9 @@ def _calls(bs=7):
 
 
 class TestArguments:
-    @pytest.mark.parametrize("which", ["trsm", "trmm", "syrk", "gemm"])
+    # the kernels' solve inverts a tril copy of the factor, so it takes a
+    # factor that BLAS itself refuses (see the operand cases below)
+    @pytest.mark.parametrize("which", ["trsm"])
     @pytest.mark.parametrize("odd", ["misaligned-read-only", "f-ordered"])
     def test_odd_operand_gives_the_same_bits(self, which, odd):
         call, operand, out = _calls()[which]
@@ -213,14 +215,24 @@ class TestArguments:
         call(copy, got)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("which", ["potrf", "trtri", "trsm", "trmm",
-                                       "syrk", "gemm"])
-    @pytest.mark.parametrize("wrong", ["f-ordered", "read-only", "shape",
-                                       "misaligned", "float32"])
+    @pytest.mark.parametrize("wrong, which", [
+        *((wrong, which)
+          for wrong in ["f-ordered", "read-only", "shape", "misaligned",
+                        "float32"]
+          for which in ["potrf", "trtri", "trsm", "trmm", "syrk", "gemm"]),
+        # BLAS never copies an operand that it cannot read in place
+        *((f"operand-{odd}", which)
+          for odd in ["misaligned-read-only", "f-ordered"]
+          for which in ["trmm", "syrk", "gemm"])])
     def test_wrong_output_raises_and_is_untouched(self, which, wrong):
         call, operand, out = _calls()[which]
         out = out + np.triu(np.ones_like(out), 1)  # not symmetric
-        if wrong == "f-ordered":
+        if wrong == "operand-f-ordered":
+            operand = np.asfortranarray(operand)
+            assert not operand.flags.c_contiguous
+        elif wrong == "operand-misaligned-read-only":
+            operand = _misaligned(operand)
+        elif wrong == "f-ordered":
             out = np.asfortranarray(out)
         elif wrong == "read-only":
             out.setflags(write=False)
@@ -325,9 +337,13 @@ def test_gemm_releases_the_gil():
 @pytest.mark.parametrize("which", ["trtri", "trmm"])
 def test_triangular_routines_release_the_gil(which):
     # a diagonal block's inversion and a solve by its inverse; trtri
-    # inverts its block back and forth from try to try
-    L = _lower(1000, seed=16)
-    b = np.random.default_rng(17).standard_normal((1000, 1000))
+    # inverts its block back and forth from try to try.  With BLAS's
+    # default two threads on two cores the main thread loses whole
+    # scheduler slices: at n = 1000 that alone stalled it for up to 0.43 of
+    # a call, at n = 2000 for at most 0.09
+    n = 2000
+    L = _lower(n, seed=16)
+    b = np.random.default_rng(17).standard_normal((n, n))
     _assert_releases_the_gil({"trtri": lambda: blas.trtri(L),
                               "trmm": lambda: blas.trmm(L, b)}[which])
 
@@ -344,5 +360,20 @@ def test_block_products_run_only_through_blas():
         function = (isinstance(node, ast.Attribute)
                     and node.attr in ("matmul", "dot"))
         if operator or function:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_blas_copies_no_operand():
+    """blas.py makes no array (`np.array`, `np.asarray`,
+    `np.ascontiguousarray`, `.copy()`): every routine works on the blocks
+    it is given, in place, and refuses one BLAS cannot read as it is."""
+    path = pathlib.Path(blas.__file__)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("array", "asarray",
+                                       "ascontiguousarray", "copy")):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -25,7 +25,8 @@ from blockgp.transport.inprocess import InProcessCluster
 from conftest import exp_cov, relerr, spd_matrix
 
 # (P, h) pairs exercising one worker, a full column, and h > 1 folding
-LAYOUTS = [(1, 1), (1, 2), (3, 1), (3, 2), (6, 2), (10, 1)]
+LAYOUTS = [(1, 1), (1, 2), (3, 1), (3, 2), (6, 2), (10, 1), (15, 1),
+           (21, 2), (28, 1)]
 
 
 def _layout(cl, n, h):
@@ -599,7 +600,7 @@ class TestCholeskyTraffic:
         assert cols and len(cols) == len(set(cols))
         assert len(cols) == _plan_replay(h, cl.grid.D)[0]
 
-    @pytest.mark.parametrize("P,h", [(3, 8), (6, 6), (10, 3)])
+    @pytest.mark.parametrize("P,h", [(3, 8), (6, 6), (10, 3), (28, 2)])
     def test_deliveries_replay_the_plan(self, cluster_factory, monkeypatch,
                                         P, h):
         # the senders send exactly what the plans receive, once per
@@ -1503,7 +1504,7 @@ class TestSchedules:
                 for J in out_rows for c in row_cols(J) for K in Ks(J)
                 if rect_block_owner(*key(J, K), grid) != owner(J, c)}
 
-    @pytest.mark.parametrize("P", [3, 6, 10])
+    @pytest.mark.parametrize("P", [3, 6, 10, 28])
     def test_one_sum_per_sender_and_result_block(self, cluster_factory,
                                                  monkeypatch, P):
         sums = []

@@ -1,11 +1,13 @@
 """Worker runtime: object store, collectives, error propagation, backends."""
 
 import ast
+import os
 import pathlib
 import queue
 import socket
 import struct
 import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -211,10 +213,10 @@ class TestErrorPropagation:
 @registry.register("test.pass_f_ordered")
 def _pass_f_ordered(ctx):
     tag = ("f", "col", 1, 1)
-    if ctx.rank == 1:
-        ctx.send(2, tag, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
-    elif ctx.rank == 2:
-        got = ctx.recv(1, tag, (2, 3))
+    if ctx.coord == (1, 1):
+        ctx.send((2, 1), tag, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+    elif ctx.coord == (2, 1):
+        got = ctx.recv((1, 1), tag, (2, 3))
         return got.flags.c_contiguous, got.tolist()
 
 
@@ -423,6 +425,33 @@ def test_socket_spawn_rejects_bad_seed_at_once():
     assert isinstance(exc, ConfigError), exc
 
 
+_SPAWN_FROM_SYS_PATH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from blockgp import distla, spawn
+cl = spawn(3, "multi-process-socket", 0, 1)
+try:
+    layout = distla.make_layout(12, cl.grid, h=1)
+    x = distla.distribute(cl, "x", np.arange(12.0), "vector", layout)
+    print(distla.sum_squares(cl, x))
+finally:
+    cl.shutdown()
+"""
+
+
+@pytest.mark.slow
+def test_socket_workers_import_blockgp_where_the_master_did(tmp_path):
+    # a master that found blockgp through sys.path, with no PYTHONPATH
+    src = str(pathlib.Path(blockgp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_FROM_SYS_PATH, src], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) == float(np.sum(np.arange(12.0) ** 2))
+
+
 def _replace_rank_two(monkeypatch, *args):
     """Start rank 2 as `python ARGS... FD` in place of its worker, through
     a stand-in for `subprocess` in socketbackend; returns the list the
@@ -601,7 +630,7 @@ def test_socket_undecodable_frame_from_a_worker_is_attributed(monkeypatch):
 
 @registry.register("test.wait_for_rank_two")
 def _wait_for_rank_two(ctx):
-    return ctx.recv(2, ("x", "x", 1, 1))
+    return ctx.recv((2, 1), ("x", "x", 1, 1), (1, 1))  # rank 2 at P = 3
 
 
 @pytest.fixture
