@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as la
 
 from blockgp.distla import blas, kernels
+from blockgp.transport import wire
 
 from conftest import relerr, spd_matrix
 
@@ -41,6 +42,15 @@ def _misaligned(a, writeable=False):
     view.setflags(write=writeable)
     assert not view.flags.aligned
     return view
+
+
+def _delivered(a):
+    """a as the socket backend hands a received block to a kernel: a view
+    of the frame body read into a fresh buffer, which the wire's pad
+    aligns, in C order whatever the order a was sent in."""
+    frame = wire.encode_data(1, 2, 0, ("x", "col", 1, 1), a)
+    payload = wire.decode_body(bytearray(frame[4:]))[-1]
+    return payload.reshape(a.shape)
 
 
 class TestAgainstNumpy:
@@ -199,8 +209,9 @@ def _calls(bs=7):
 
 class TestArguments:
     # the kernels' solve inverts a tril copy of the factor, so it takes a
-    # factor that BLAS itself refuses (see the operand cases below)
-    @pytest.mark.parametrize("which", ["trsm"])
+    # factor that BLAS itself refuses (see the operand cases below); the
+    # other routines get such an operand only as the transport delivers it
+    @pytest.mark.parametrize("which", ["trsm", "trmm", "syrk", "gemm"])
     @pytest.mark.parametrize("odd", ["misaligned-read-only", "f-ordered"])
     def test_odd_operand_gives_the_same_bits(self, which, odd):
         call, operand, out = _calls()[which]
@@ -210,6 +221,8 @@ class TestArguments:
             copy = _misaligned(operand)
             assert not copy.flags.writeable
         np.testing.assert_array_equal(copy, operand)
+        if which != "trsm":
+            copy = _delivered(copy)
         want, got = out.copy(), out.copy()
         call(operand, want)
         call(copy, got)
